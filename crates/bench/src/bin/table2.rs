@@ -11,7 +11,7 @@ fn main() {
     }
     println!(
         "Running Table 2 at {:?} scale ({} DFG / {} CDFG programs, {} epochs, hidden {}, \
-         {} models, {} worker(s), fusing up to {} graphs/tape)",
+         {} models, {} worker(s), batch size {})",
         config.scale,
         config.dfg_programs,
         config.cdfg_programs,
@@ -19,7 +19,7 @@ fn main() {
         config.train.hidden_dim,
         config.table2_models.len(),
         config.parallel.workers(),
-        hls_gnn_core::runtime::BatchConfig::from_env().effective_width(config.train.batch_size)
+        config.train.batch_size
     );
     let table = match run_table2(&config) {
         Ok(table) => table,

@@ -16,7 +16,7 @@ use std::time::Instant;
 use hls_gnn_core::builder::{load_predictor, PredictorBuilder};
 use hls_gnn_core::experiments::ExperimentConfig;
 use hls_gnn_core::predictor::Predictor;
-use hls_gnn_core::runtime::{predict_batch_sharded, BatchConfig};
+use hls_gnn_core::runtime::predict_batch_sharded;
 use hls_gnn_core::task::TargetMetric;
 use hls_progen::synthetic::ProgramFamily;
 
@@ -39,12 +39,12 @@ fn main() {
     let config = ExperimentConfig::from_env();
     println!(
         "training {} ({}) on {} synthetic CDFG programs at {:?} scale \
-         (fusion width {}, {} worker(s))",
+         (batch size {}, {} worker(s))",
         builder.spec().name(),
         builder.spec(),
         config.cdfg_programs,
         config.scale,
-        BatchConfig::from_env().effective_width(config.train.batch_size),
+        config.train.batch_size,
         config.parallel.workers()
     );
 

@@ -32,7 +32,7 @@ use crate::predictor::Predictor;
 use crate::runtime::{self, BatchConfig, ParallelConfig};
 use crate::task::{ResourceClass, TargetMetric};
 use crate::train::{
-    evaluate_node_classifier, predict_regressor, train_node_classifier_source, TrainConfig,
+    denormalize_row, evaluate_node_classifier, train_node_classifier_source, TrainConfig,
 };
 use crate::{Error, Result};
 
@@ -280,9 +280,7 @@ impl GnnPredictor {
     /// Returns [`Error::NotTrained`] before [`Predictor::fit`] and
     /// [`Error::Config`] for approaches without a node-level stage.
     pub fn infer_types(&self, sample: &GraphSample) -> Result<Vec<[f32; 3]>> {
-        let classifier = self.classifier_checked()?;
-        let mut rng = StdRng::seed_from_u64(0);
-        Ok(classifier.predict_types(sample, &mut rng))
+        Ok(self.classifier_checked()?.predict_types(&[sample]))
     }
 
     /// Rebuilds a trained predictor from a snapshot.
@@ -346,11 +344,10 @@ impl GnnPredictor {
         }
     }
 
-    /// [`Predictor::fit_source`] with an explicit fusion configuration
-    /// instead of the `HLSGNN_BATCH*` environment. Frozen protocols (the
-    /// registry parity gate) use this so their chunk plans — and therefore
-    /// their floating-point accumulation order — cannot drift when the
-    /// default node budget is retuned.
+    /// [`Predictor::fit_source`] with an explicit chunk plan instead of the
+    /// default. Frozen protocols (the registry parity gate) use this so their
+    /// chunk plans — and therefore their floating-point accumulation order —
+    /// cannot drift when the default node budget is retuned.
     pub fn fit_source_with(
         &mut self,
         batch_config: &BatchConfig,
@@ -393,11 +390,13 @@ impl GnnPredictor {
         Ok(())
     }
 
-    /// [`Predictor::predict_batch`] with an explicit fusion width. Width 1
-    /// runs the legacy per-sample forwards; larger widths fuse that many
-    /// graphs per tape ([`GraphRegressor::forward_batch`]). Inference through
-    /// the fused tape is bit-identical to the per-sample path at every width,
-    /// so this only changes the cost of a sweep, never its result.
+    /// [`Predictor::predict_batch`] with an explicit chunk plan. Each chunk
+    /// of [`BatchConfig::plan_chunks`] runs one fused forward pass per stage
+    /// — the hierarchical approach self-infers the whole chunk's resource
+    /// types in one classifier forward, then regresses the chunk in one
+    /// [`GraphRegressor::forward_batch`]. A design's fused rows do not
+    /// depend on the rest of its chunk, so the node budget only changes the
+    /// cost of a sweep, never its result.
     pub fn predict_batch_with(
         &self,
         samples: &[GraphSample],
@@ -420,53 +419,22 @@ impl GnnPredictor {
         } else {
             None
         };
-        // Hierarchical inference: the only inputs are the IR graph; resource
-        // types are self-inferred by the node-level stage, which stays
-        // per-graph (its labels are per-node) — only the graph-level
-        // regression fuses.
-        let infer_types = |classifier: &NodeClassifierModel, sample: &GraphSample| {
-            let mut rng = StdRng::seed_from_u64(0);
-            classifier.predict_types(sample, &mut rng)
-        };
-        let predict_one = |sample: &GraphSample| {
-            let types = classifier.map(|classifier| infer_types(classifier, sample));
-            Ok(predict_regressor(regressor, normalizer, sample, types.as_deref()))
-        };
-        let width = batch_config.effective_width(self.config.batch_size);
-        if width == 1 {
-            // Legacy per-sample forwards (exact historical behaviour).
-            return samples.iter().map(predict_one).collect();
-        }
         let mut results = Vec::with_capacity(samples.len());
         let sizes: Vec<usize> = samples.iter().map(GraphSample::num_nodes).collect();
         let mut start = 0;
         for length in
             batch_config.plan_chunks(&sizes, self.config.batch_size, self.config.hidden_dim)
         {
-            let chunk = &samples[start..start + length];
+            let chunk: Vec<&GraphSample> = samples[start..start + length].iter().collect();
             start += length;
-            if length == 1 {
-                // A graph that fills the node budget on its own: the plain
-                // per-graph path skips the fuse/encode-batch copies.
-                results.push(predict_one(&chunk[0]));
-                continue;
-            }
-            let refs: Vec<&GraphSample> = chunk.iter().collect();
-            let overrides: Option<Vec<Vec<[f32; 3]>>> = classifier.map(|classifier| {
-                chunk.iter().map(|sample| infer_types(classifier, sample)).collect()
-            });
+            // Hierarchical inference: the only inputs are the IR graphs; the
+            // node-level stage self-infers every node's resource types.
+            let types = classifier.map(|classifier| classifier.predict_types(&chunk));
             let mut rng = StdRng::seed_from_u64(0);
-            let output =
-                regressor.forward_batch(&refs, overrides.as_deref(), false, &mut rng).value();
+            let output = regressor.forward_batch(&chunk, types.as_deref(), false, &mut rng).value();
             // The fused inference tape is dead once its values are extracted.
             gnn_tensor::tape::reset();
-            for row in 0..chunk.len() {
-                let mut normalized = [0.0f32; TargetMetric::COUNT];
-                for (index, value) in normalized.iter_mut().enumerate() {
-                    *value = output.get(row, index);
-                }
-                results.push(Ok(normalizer.denormalize(&normalized)));
-            }
+            results.extend((0..length).map(|row| Ok(denormalize_row(normalizer, &output, row))));
         }
         results
     }
@@ -494,11 +462,11 @@ impl Predictor for GnnPredictor {
         validation: &Dataset,
         config: &TrainConfig,
     ) -> Result<()> {
-        self.fit_source_with(&BatchConfig::from_env(), train, validation, config)
+        self.fit_source_with(&BatchConfig::default(), train, validation, config)
     }
 
     fn predict_batch(&self, samples: &[GraphSample]) -> Vec<Result<[f64; TargetMetric::COUNT]>> {
-        self.predict_batch_with(samples, &BatchConfig::from_env())
+        self.predict_batch_with(samples, &BatchConfig::default())
     }
 
     fn snapshot(&self) -> Result<SavedPredictor> {

@@ -74,6 +74,26 @@ pub struct FeatureEncoder {
 /// group).
 const NUMERIC_BASE_FEATURES: usize = 2;
 
+/// A `total_nodes × 3` auxiliary-feature matrix with one row per node of the
+/// chunk, in sample order then node order.
+fn node_rows(
+    samples: &[&GraphSample],
+    total_nodes: usize,
+    row_of: impl Fn(&GraphSample, usize) -> [f32; 3],
+) -> Matrix {
+    let mut matrix = Matrix::zeros(total_nodes, 3);
+    let mut row = 0;
+    for sample in samples {
+        for node in 0..sample.num_nodes() {
+            for (col, value) in row_of(sample, node).into_iter().enumerate() {
+                matrix.set(row, col, value);
+            }
+            row += 1;
+        }
+    }
+    matrix
+}
+
 impl FeatureEncoder {
     /// Creates an encoder whose categorical embeddings all have `embed_dim`
     /// columns.
@@ -116,94 +136,32 @@ impl FeatureEncoder {
         [(values[0].max(0.0) + 1.0).ln(), values[1], (values[2].max(0.0) + 1.0).ln()]
     }
 
-    /// Encodes one sample. For [`FeatureMode::ResourceTypes`],
-    /// `type_override` replaces the ground-truth flags (used at inference time
-    /// with the classifier's self-inferred types); it must have one `[f32; 3]`
-    /// entry per node.
+    /// Encodes a chunk of samples into one feature matrix covering every
+    /// node of every sample, rows in sample order then node order — exactly
+    /// the node order of [`gnn::GraphBatch::fuse`] over the same samples. A
+    /// single sample is a chunk of one. Each embedding table is consulted
+    /// once for the whole chunk, and a sample's rows do not depend on the
+    /// other samples in the chunk.
+    ///
+    /// For [`FeatureMode::ResourceTypes`], `type_override` replaces the
+    /// ground-truth flags (used at inference time with the classifier's
+    /// self-inferred types); it must carry one `[f32; 3]` entry per node of
+    /// the chunk, in the same row order.
     ///
     /// # Panics
-    /// Panics if `type_override` is provided with the wrong length.
-    pub fn encode(&self, sample: &GraphSample, type_override: Option<&[[f32; 3]]>) -> Var {
-        let assemble = gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
-        let n = sample.num_nodes();
-        let node_type_ids: Vec<usize> = sample.node_features.iter().map(|f| f.node_type).collect();
-        let bitwidth_ids: Vec<usize> =
-            sample.node_features.iter().map(|f| f.bitwidth_bucket()).collect();
-        let category_ids: Vec<usize> =
-            sample.node_features.iter().map(|f| f.opcode_category).collect();
-        let opcode_ids: Vec<usize> = sample.node_features.iter().map(|f| f.opcode).collect();
-
-        let numeric = Matrix::from_fn(n, NUMERIC_BASE_FEATURES, |row, col| {
-            let feature = &sample.node_features[row];
-            match col {
-                0 => f32::from(feature.is_start_of_path),
-                _ => (feature.cluster_group as f32 / 32.0).clamp(-1.0, 8.0),
-            }
-        });
-        drop(assemble);
-
-        let mut parts = vec![
-            self.node_type.forward(&node_type_ids),
-            self.bitwidth.forward(&bitwidth_ids),
-            self.category.forward(&category_ids),
-            self.opcode.forward(&opcode_ids),
-            Var::new(numeric),
-        ];
-
-        match self.mode {
-            FeatureMode::Base => {}
-            FeatureMode::ResourceValues => {
-                let aux = Matrix::from_fn(n, 3, |row, col| {
-                    (sample.node_aux_resources[row][col].max(0.0) + 1.0).ln()
-                });
-                parts.push(Var::new(aux));
-            }
-            FeatureMode::ResourceTypes => {
-                let flags: &[[f32; 3]] = match type_override {
-                    Some(flags) => {
-                        assert_eq!(flags.len(), n, "type override must cover every node");
-                        flags
-                    }
-                    None => &sample.node_resource_types,
-                };
-                let aux = Matrix::from_fn(n, 3, |row, col| flags[row][col]);
-                parts.push(Var::new(aux));
-            }
-        }
-
-        if self.analytic {
-            let aux = Matrix::from_fn(n, 3, |row, col| {
-                Self::analytic_columns(&sample.node_analytic[row])[col]
-            });
-            parts.push(Var::new(aux));
-        }
-
-        Var::concat_cols(&parts)
-    }
-
-    /// Encodes a fused mini-batch: one feature matrix covering every node of
-    /// every sample, rows in sample order then node order — exactly the node
-    /// order of [`gnn::GraphBatch::fuse`] over the same samples. Each
-    /// embedding table is consulted once for the whole batch, and every row
-    /// is bit-identical to the row [`FeatureEncoder::encode`] would produce
-    /// for that sample alone.
-    ///
-    /// `type_overrides`, when provided, must carry one override per sample
-    /// (see [`FeatureEncoder::encode`]).
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or an override has the wrong length.
+    /// Panics if `samples` is empty, if `type_override` has the wrong length,
+    /// or if a sample's per-node lists do not cover its nodes.
     pub fn encode_batch(
         &self,
         samples: &[&GraphSample],
-        type_overrides: Option<&[Vec<[f32; 3]>]>,
+        type_override: Option<&[[f32; 3]]>,
     ) -> Var {
         assert!(!samples.is_empty(), "cannot encode an empty batch");
-        if let Some(overrides) = type_overrides {
-            assert_eq!(overrides.len(), samples.len(), "one type override per sample");
-        }
         let assemble = gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
         let total_nodes: usize = samples.iter().map(|s| s.num_nodes()).sum();
+        if let Some(flags) = type_override {
+            assert_eq!(flags.len(), total_nodes, "type override must cover every node");
+        }
         let mut node_type_ids = Vec::with_capacity(total_nodes);
         let mut bitwidth_ids = Vec::with_capacity(total_nodes);
         let mut category_ids = Vec::with_capacity(total_nodes);
@@ -212,9 +170,8 @@ impl FeatureEncoder {
         let mut row = 0;
         for sample in samples {
             // Index by node position (not by iterating the feature list) so a
-            // sample with missing per-node entries panics like the per-graph
-            // encoder would, instead of silently shifting every following
-            // sample's rows.
+            // sample with missing per-node entries panics instead of silently
+            // shifting every following sample's rows.
             for node in 0..sample.num_nodes() {
                 let feature = &sample.node_features[node];
                 node_type_ids.push(feature.node_type);
@@ -236,66 +193,34 @@ impl FeatureEncoder {
             Var::new(numeric),
         ];
 
-        match self.mode {
-            FeatureMode::Base => {}
-            FeatureMode::ResourceValues => {
-                let mut aux = Matrix::zeros(total_nodes, 3);
-                let mut row = 0;
-                for sample in samples {
-                    for node in 0..sample.num_nodes() {
-                        for (col, &value) in sample.node_aux_resources[node].iter().enumerate() {
-                            aux.set(row, col, (value.max(0.0) + 1.0).ln());
-                        }
-                        row += 1;
-                    }
-                }
-                parts.push(Var::new(aux));
+        match (self.mode, type_override) {
+            (FeatureMode::Base, _) => {}
+            (FeatureMode::ResourceValues, _) => {
+                parts.push(Var::new(node_rows(samples, total_nodes, |sample, node| {
+                    sample.node_aux_resources[node].map(|value| (value.max(0.0) + 1.0).ln())
+                })));
             }
-            FeatureMode::ResourceTypes => {
-                let mut aux = Matrix::zeros(total_nodes, 3);
-                let mut row = 0;
-                for (index, sample) in samples.iter().enumerate() {
-                    let flags: &[[f32; 3]] = match type_overrides {
-                        Some(overrides) => {
-                            let flags = &overrides[index];
-                            assert_eq!(
-                                flags.len(),
-                                sample.num_nodes(),
-                                "type override must cover every node"
-                            );
-                            flags
-                        }
-                        None => &sample.node_resource_types,
-                    };
+            (FeatureMode::ResourceTypes, Some(flags)) => {
+                parts.push(Var::new(Matrix::from_fn(total_nodes, 3, |row, col| flags[row][col])));
+            }
+            (FeatureMode::ResourceTypes, None) => {
+                for sample in samples {
                     assert_eq!(
-                        flags.len(),
+                        sample.node_resource_types.len(),
                         sample.num_nodes(),
                         "resource-type flags must cover every node"
                     );
-                    for values in flags {
-                        for (col, &value) in values.iter().enumerate() {
-                            aux.set(row, col, value);
-                        }
-                        row += 1;
-                    }
                 }
-                parts.push(Var::new(aux));
+                parts.push(Var::new(node_rows(samples, total_nodes, |sample, node| {
+                    sample.node_resource_types[node]
+                })));
             }
         }
 
         if self.analytic {
-            let mut aux = Matrix::zeros(total_nodes, 3);
-            let mut row = 0;
-            for sample in samples {
-                for node in 0..sample.num_nodes() {
-                    let columns = Self::analytic_columns(&sample.node_analytic[node]);
-                    for (col, value) in columns.into_iter().enumerate() {
-                        aux.set(row, col, value);
-                    }
-                    row += 1;
-                }
-            }
-            parts.push(Var::new(aux));
+            parts.push(Var::new(node_rows(samples, total_nodes, |sample, node| {
+                Self::analytic_columns(&sample.node_analytic[node])
+            })));
         }
 
         Var::concat_cols(&parts)
@@ -347,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for mode in [FeatureMode::Base, FeatureMode::ResourceValues, FeatureMode::ResourceTypes] {
             let encoder = FeatureEncoder::new(mode, 5, &mut rng);
-            let encoded = encoder.encode(&sample, None);
+            let encoded = encoder.encode_batch(&[&sample], None);
             assert_eq!(encoded.shape(), (sample.num_nodes(), encoder.output_dim()));
             assert!(!encoded.value().has_non_finite());
         }
@@ -358,13 +283,13 @@ mod tests {
         let sample = sample();
         let mut rng = StdRng::seed_from_u64(2);
         let encoder = FeatureEncoder::new(FeatureMode::ResourceTypes, 4, &mut rng);
-        let ground_truth = encoder.encode(&sample, None).value();
+        let ground_truth = encoder.encode_batch(&[&sample], None).value();
         let flipped: Vec<[f32; 3]> = sample
             .node_resource_types
             .iter()
             .map(|labels| [1.0 - labels[0], 1.0 - labels[1], 1.0 - labels[2]])
             .collect();
-        let overridden = encoder.encode(&sample, Some(&flipped)).value();
+        let overridden = encoder.encode_batch(&[&sample], Some(&flipped)).value();
         assert_ne!(ground_truth, overridden);
     }
 
@@ -373,7 +298,7 @@ mod tests {
         let sample = sample();
         let mut rng = StdRng::seed_from_u64(3);
         let encoder = FeatureEncoder::new(FeatureMode::Base, 4, &mut rng);
-        encoder.encode(&sample, None).sum().backward();
+        encoder.encode_batch(&[&sample], None).sum().backward();
         assert_eq!(encoder.parameters().len(), 4);
         assert!(encoder.parameters().iter().all(|p| p.grad().is_some()));
     }
@@ -386,7 +311,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let analytic = FeatureEncoder::new(FeatureMode::Base, 4, &mut rng).with_analytic(true);
         assert_eq!(analytic.output_dim(), plain.output_dim() + 3);
-        let encoded = analytic.encode(&sample, None);
+        let encoded = analytic.encode_batch(&[&sample], None);
         assert_eq!(encoded.shape(), (sample.num_nodes(), analytic.output_dim()));
         assert!(!encoded.value().has_non_finite());
         // The tiny control program has a loop, so some operation carries a
@@ -394,7 +319,7 @@ mod tests {
         assert!(sample.node_analytic.iter().any(|f| f.iter().any(|&v| v > 0.0)));
         // The shared embedding prefix is unchanged: the analytic columns are
         // purely appended.
-        let base = plain.encode(&sample, None).value();
+        let base = plain.encode_batch(&[&sample], None).value();
         let extended = encoded.value();
         for row in 0..sample.num_nodes() {
             for col in 0..plain.output_dim() {
@@ -417,7 +342,7 @@ mod tests {
         let fused = encoder.encode_batch(&samples, None).value();
         let mut row = 0;
         for sample in &samples {
-            let single = encoder.encode(sample, None).value();
+            let single = encoder.encode_batch(std::slice::from_ref(sample), None).value();
             for node in 0..sample.num_nodes() {
                 for col in 0..encoder.output_dim() {
                     assert_eq!(single.get(node, col), fused.get(row, col));

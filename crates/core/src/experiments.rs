@@ -790,11 +790,11 @@ pub struct ParityReport {
 /// bit-identical for any worker count (each job's RNG state derives purely
 /// from its seed and models never cross threads).
 ///
-/// The fusion configuration is pinned (node budget 128, the default at the
-/// time the baseline was generated) rather than read from `HLSGNN_BATCH*`:
-/// a chunk plan determines floating-point accumulation order, so leaving it
-/// to the tunable default would make the gate fail on every budget retune
-/// instead of only on real engine changes.
+/// The chunk plan is pinned (node budget 128, the default at the time the
+/// baseline was generated) rather than left to the default: a chunk plan
+/// determines floating-point accumulation order, so leaving it to the
+/// tunable default would make the gate fail on every budget retune instead
+/// of only on real engine changes.
 ///
 /// # Errors
 /// Propagates dataset-construction and training errors.
@@ -802,7 +802,7 @@ pub fn registry_parity(parallel: &ParallelConfig) -> Result<ParityReport> {
     use hls_progen::synthetic::SyntheticConfig;
     let programs = 16;
     let corpus_seed = 1234;
-    let batch = runtime::BatchConfig::default_fused().with_node_budget(128);
+    let batch = runtime::BatchConfig::default().with_node_budget(128);
     let mut train = TrainConfig::fast();
     train.epochs = 1;
     train.seed = 7;

@@ -20,18 +20,16 @@
 //!   from a [`PredictorSpec`] (parseable from strings like `"hier/rgcn"`),
 //!   and [`persist`] snapshots trained predictors to JSON and back.
 //! * [`train`] and [`metrics`] hold the shared training loops, MAPE/accuracy
-//!   metrics and target normalisation. Mini-batches run on the fused
-//!   batching engine: [`gnn::GraphBatch`] disjoint-unions the batch into one
-//!   block-diagonal super-graph so a single autodiff tape covers the whole
-//!   gradient step (`HLSGNN_BATCH=1` selects the exact legacy
-//!   one-tape-per-graph path).
+//!   metrics and target normalisation. Every forward pass runs on the fused
+//!   batching engine: [`gnn::GraphBatch`] disjoint-unions a chunk of graphs
+//!   into one block-diagonal super-graph so a single autodiff tape covers
+//!   the whole chunk, and a single graph is a chunk of one.
 //! * [`runtime`] is the deterministic execution layer: the parallel runtime
 //!   (thread-confined workers — the autodiff tape is `!Send` — that train
 //!   and evaluate independent models concurrently and rehydrate [`persist`]
 //!   snapshots per thread to shard batched inference; `HLSGNN_WORKERS`) and
-//!   the fused-batching configuration ([`runtime::BatchConfig`];
-//!   `HLSGNN_BATCH`, `HLSGNN_BATCH_NODES`). Results are bit-identical for
-//!   any worker count and fusion width.
+//!   the fused-batching chunk plan ([`runtime::BatchConfig`]). Results are
+//!   bit-identical for any worker count and chunk plan.
 //! * [`experiments`] regenerates every table and figure of the evaluation
 //!   section (Tables 2–5, the DFG-vs-CDFG analysis, the speed-up figure and
 //!   the ablations), driving everything through the [`Predictor`] API — each

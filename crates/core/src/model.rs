@@ -3,7 +3,7 @@
 //! resource-type classifier (feature encoder → GNN stack → linear head).
 
 use gnn::{GnnKind, GnnStack, GraphBatch, Pooling};
-use gnn_tensor::{Linear, Mlp, Var};
+use gnn_tensor::{Linear, Matrix, Mlp, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -71,52 +71,34 @@ impl GraphRegressor {
         self.encoder.mode()
     }
 
-    /// Forward pass producing a `1 × 4` normalised prediction.
-    /// `type_override` supplies self-inferred resource types at inference time
-    /// for the knowledge-infused approach.
-    pub fn forward(
+    /// Forward pass over a chunk of samples, producing a `B × 4` normalised
+    /// prediction matrix — one row per sample, in order. The samples'
+    /// structures are disjoint-unioned into one [`GraphBatch`] super-graph
+    /// (a single sample is a batch of one), so the whole chunk shares a
+    /// single autodiff tape; segment-aware pooling reads out one graph
+    /// embedding per member graph.
+    ///
+    /// At inference (`training = false`, dropout inactive) every output row
+    /// is bit-identical to the row of a batch holding that sample alone.
+    /// During training the fused tape draws dropout masks in one pass over
+    /// the super-graph, so with nonzero dropout the RNG stream depends on the
+    /// chunk.
+    ///
+    /// `type_override`, when provided, carries self-inferred resource types
+    /// for the knowledge-infused inference path: one entry per node of the
+    /// chunk, in sample order then node order.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty or the override has the wrong length.
+    pub fn forward_batch(
         &self,
-        sample: &GraphSample,
+        samples: &[&GraphSample],
         type_override: Option<&[[f32; 3]]>,
         training: bool,
         rng: &mut StdRng,
     ) -> Var {
-        let features = self.encoder.encode(sample, type_override);
-        let embeddings = self.stack.forward(&sample.structure, &features, training, rng);
-        let pooled = self.pooling.apply(&embeddings);
-        self.head.forward(&pooled)
-    }
-
-    /// Fused forward pass over a mini-batch, producing a `B × 4` normalised
-    /// prediction matrix — one row per sample, in order. The samples'
-    /// structures are disjoint-unioned into one [`GraphBatch`] super-graph,
-    /// so the whole mini-batch shares a single autodiff tape; segment-aware
-    /// pooling reads out one graph embedding per member graph.
-    ///
-    /// At inference (`training = false`, dropout inactive) every output row
-    /// is bit-identical to the `1 × 4` result of [`GraphRegressor::forward`]
-    /// on that sample alone. During training the fused tape draws dropout
-    /// masks in one pass over the super-graph, so with nonzero dropout the
-    /// RNG stream differs from per-graph forwards.
-    ///
-    /// `type_overrides`, when provided, carries one override per sample (the
-    /// knowledge-infused inference path).
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or an override has the wrong length.
-    pub fn forward_batch(
-        &self,
-        samples: &[&GraphSample],
-        type_overrides: Option<&[Vec<[f32; 3]>]>,
-        training: bool,
-        rng: &mut StdRng,
-    ) -> Var {
-        assert!(!samples.is_empty(), "cannot run a fused forward pass on an empty batch");
-        let assemble = gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
-        let structures: Vec<&gnn::GraphData> = samples.iter().map(|s| &s.structure).collect();
-        let batch = GraphBatch::fuse(&structures);
-        drop(assemble);
-        let features = self.encoder.encode_batch(samples, type_overrides);
+        let batch = fuse(samples);
+        let features = self.encoder.encode_batch(samples, type_override);
         let embeddings = self.stack.forward(batch.graph(), &features, training, rng);
         let pooled =
             self.pooling.apply_segmented(&embeddings, batch.segments(), batch.num_graphs());
@@ -147,7 +129,14 @@ impl GraphRegressor {
     }
 }
 
-use gnn_tensor::Matrix;
+/// Disjoint-unions the samples' structures into one super-graph; a single
+/// sample is a batch of one.
+fn fuse(samples: &[&GraphSample]) -> GraphBatch {
+    assert!(!samples.is_empty(), "cannot run a fused forward pass on an empty batch");
+    let _assemble = gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
+    let structures: Vec<&gnn::GraphData> = samples.iter().map(|s| &s.structure).collect();
+    GraphBatch::fuse(&structures)
+}
 
 /// Copies `state` into `params`, validating counts and shapes.
 fn load_state_into(params: &[Var], state: &[Matrix]) -> crate::Result<()> {
@@ -206,20 +195,32 @@ impl NodeClassifierModel {
         self.kind
     }
 
-    /// Forward pass producing `n × 3` logits.
-    pub fn forward(&self, sample: &GraphSample, training: bool, rng: &mut StdRng) -> Var {
-        let features = self.encoder.encode(sample, None);
-        let embeddings = self.stack.forward(&sample.structure, &features, training, rng);
+    /// Forward pass over a chunk of samples producing one row of three
+    /// logits per node, rows in sample order then node order. Like
+    /// [`GraphRegressor::forward_batch`] the chunk is fused into one
+    /// super-graph (a single sample is a batch of one), and at inference a
+    /// sample's rows do not depend on the rest of the chunk.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty.
+    pub fn forward(&self, samples: &[&GraphSample], training: bool, rng: &mut StdRng) -> Var {
+        let batch = fuse(samples);
+        let features = self.encoder.encode_batch(samples, None);
+        let embeddings = self.stack.forward(batch.graph(), &features, training, rng);
         self.head.forward(&embeddings)
     }
 
-    /// Predicted resource-type flags (0/1) per node, thresholding the logits
-    /// at zero (sigmoid 0.5).
-    pub fn predict_types(&self, sample: &GraphSample, rng: &mut StdRng) -> Vec<[f32; 3]> {
-        let logits = self.forward(sample, false, rng).value();
+    /// Predicted resource-type flags (0/1) for every node of the chunk, in
+    /// [`NodeClassifierModel::forward`] row order, thresholding the logits at
+    /// zero (sigmoid 0.5).
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty.
+    pub fn predict_types(&self, samples: &[&GraphSample]) -> Vec<[f32; 3]> {
+        let logits = self.forward(samples, false, &mut StdRng::seed_from_u64(0)).value();
         // Single-use inference tape: recycle its buffers right away.
         gnn_tensor::tape::reset();
-        (0..sample.num_nodes())
+        (0..logits.rows())
             .map(|node| {
                 [
                     f32::from(logits.get(node, 0) > 0.0),
@@ -277,7 +278,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for mode in [FeatureMode::Base, FeatureMode::ResourceValues, FeatureMode::ResourceTypes] {
             let model = GraphRegressor::new(GnnKind::Rgcn, mode, &config);
-            let out = model.forward(&sample, None, false, &mut rng);
+            let out = model.forward_batch(&[&sample], None, false, &mut rng);
             assert_eq!(out.shape(), (1, TargetMetric::COUNT));
             assert_eq!(model.mode(), mode);
             assert_eq!(model.kind(), GnnKind::Rgcn);
@@ -291,9 +292,9 @@ mod tests {
         let sample = sample();
         let model = NodeClassifierModel::new(GnnKind::GraphSage, &config);
         let mut rng = StdRng::seed_from_u64(1);
-        let logits = model.forward(&sample, false, &mut rng);
+        let logits = model.forward(&[&sample], false, &mut rng);
         assert_eq!(logits.shape(), (sample.num_nodes(), ResourceClass::COUNT));
-        let types = model.predict_types(&sample, &mut rng);
+        let types = model.predict_types(&[&sample]);
         assert_eq!(types.len(), sample.num_nodes());
         assert!(types.iter().flatten().all(|&flag| flag == 0.0 || flag == 1.0));
         assert_eq!(model.kind(), GnnKind::GraphSage);
@@ -305,7 +306,7 @@ mod tests {
         let sample = sample();
         let model = GraphRegressor::new(GnnKind::Gcn, FeatureMode::Base, &config);
         let mut rng = StdRng::seed_from_u64(2);
-        model.forward(&sample, None, true, &mut rng).sum().backward();
+        model.forward_batch(&[&sample], None, true, &mut rng).sum().backward();
         let with_grad = model.parameters().iter().filter(|p| p.grad().is_some()).count();
         assert!(with_grad * 2 >= model.parameters().len());
     }
@@ -319,10 +320,10 @@ mod tests {
         let source = GraphRegressor::new(GnnKind::Rgcn, FeatureMode::Base, &config);
         let target =
             GraphRegressor::new(GnnKind::Rgcn, FeatureMode::Base, &config.clone().with_seed(99));
-        let before = target.forward(&sample, None, false, &mut rng).value();
+        let before = target.forward_batch(&[&sample], None, false, &mut rng).value();
         target.load_state(&source.state()).expect("state loads");
-        let after = target.forward(&sample, None, false, &mut rng).value();
-        let reference = source.forward(&sample, None, false, &mut rng).value();
+        let after = target.forward_batch(&[&sample], None, false, &mut rng).value();
+        let reference = source.forward_batch(&[&sample], None, false, &mut rng).value();
         assert_ne!(before, after, "loading the state must change the weights");
         assert_eq!(after, reference, "loaded model predicts exactly like the source");
     }
@@ -347,8 +348,8 @@ mod tests {
         let model = GraphRegressor::new(GnnKind::Pna, FeatureMode::Base, &config);
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(99);
-        let a = model.forward(&sample, None, false, &mut rng_a).value();
-        let b = model.forward(&sample, None, false, &mut rng_b).value();
+        let a = model.forward_batch(&[&sample], None, false, &mut rng_a).value();
+        let b = model.forward_batch(&[&sample], None, false, &mut rng_b).value();
         assert_eq!(a, b);
     }
 }

@@ -68,11 +68,11 @@ pub trait Predictor {
     /// Predicts the raw `[DSP, LUT, FF, CP]` values for every design in a
     /// batch. This is the primary inference entry point: trained state is
     /// resolved once per call and shared across the whole batch, and the
-    /// fused mini-batching engine unions several graphs per forward tape
-    /// (`HLSGNN_BATCH`; see [`crate::runtime::BatchConfig`]), so predicting
-    /// `n` designs costs one setup plus `⌈n / width⌉` fused forward passes.
-    /// Fused inference is bit-identical to per-sample inference, so the
-    /// result never depends on chunk boundaries.
+    /// fused mini-batching engine unions up to a mini-batch of graphs per
+    /// forward tape (see [`crate::runtime::BatchConfig`]), so predicting `n`
+    /// designs costs one setup plus about `⌈n / batch_size⌉` fused forward
+    /// passes. A design's fused rows do not depend on the rest of its chunk,
+    /// so the result never depends on chunk boundaries.
     fn predict_batch(&self, samples: &[GraphSample]) -> Vec<Result<[f64; TargetMetric::COUNT]>>;
 
     /// Predicts the raw `[DSP, LUT, FF, CP]` values of one design. Delegates
@@ -117,10 +117,9 @@ pub trait Predictor {
 
     /// [`Predictor::evaluate`] over any [`SampleSource`], streaming
     /// fixed-size chunks through [`Predictor::predict_batch`] so peak memory
-    /// is bounded by the chunk size rather than the corpus. Because fused
-    /// inference is bit-identical to per-sample inference (chunk boundaries
-    /// never change a prediction), the score equals [`evaluate`] on the
-    /// materialised equivalent exactly.
+    /// is bounded by the chunk size rather than the corpus. Because chunk
+    /// boundaries never change a prediction, the score equals [`evaluate`]
+    /// on the materialised equivalent exactly.
     ///
     /// # Errors
     /// Propagates the source's fetch failures. Prediction failures are

@@ -116,39 +116,31 @@ impl Default for ParallelConfig {
     }
 }
 
-/// Fusion-width configuration for the fused graph mini-batching engine.
+/// Chunk planning for the fused graph mini-batching engine.
 ///
-/// The *fusion width* is how many graphs share one autodiff tape:
-/// [`gnn::GraphBatch`] disjoint-unions that many graphs into a block-diagonal
-/// super-graph, so a mini-batch costs one forward/backward pass instead of
-/// one per graph. The width never changes the SGD protocol — mini-batch
-/// boundaries, shuffling and loss scaling follow `TrainConfig::batch_size`
-/// exactly; it only controls how each mini-batch's tape is built.
+/// Every forward pass runs on a *chunk* of graphs that [`gnn::GraphBatch`]
+/// disjoint-unions into one block-diagonal super-graph, so a chunk costs one
+/// forward/backward tape however many graphs it holds; a single graph is a
+/// chunk of one. A chunk holds at most one mini-batch
+/// (`TrainConfig::batch_size` graphs) and at most the node budget. Chunking
+/// never changes the SGD protocol — mini-batch boundaries, shuffling and
+/// loss scaling follow `TrainConfig::batch_size` exactly — and never changes
+/// an inference result, since a graph's fused rows do not depend on the rest
+/// of its chunk.
 ///
-/// * [`BatchConfig::default_fused`] (the `HLSGNN_BATCH`-unset default) fuses
-///   each whole mini-batch (training) or inference chunk into one tape.
-/// * [`BatchConfig::legacy`] (`HLSGNN_BATCH=1`) is the exact pre-fusion code
-///   path: one tape per graph, gradients accumulated across the mini-batch.
-///   Bit-identical to the historical behaviour.
-/// * [`BatchConfig::with_width`] (`HLSGNN_BATCH=N`) caps the fusion width at
-///   `N` graphs per tape regardless of the configured batch size.
+/// The default derives the node budget from the hidden dimension;
+/// [`BatchConfig::with_node_budget`] pins it, which frozen protocols (the
+/// registry parity gate) use so their chunk plans — and therefore their
+/// floating-point accumulation order — cannot drift when the default is
+/// retuned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchConfig {
-    /// `None` = fuse the configured batch size; `Some(n)` = force width `n`.
-    width_override: Option<NonZeroUsize>,
-    /// `None` = derive the per-tape node budget from the hidden dimension;
-    /// `Some(n)` = cap every fused tape at `n` nodes.
+    /// `None` = derive the per-chunk node budget from the hidden dimension;
+    /// `Some(n)` = cap every chunk at `n` nodes.
     node_budget_override: Option<NonZeroUsize>,
 }
 
 impl BatchConfig {
-    /// The environment variable the default entry points read the fusion
-    /// width from.
-    pub const ENV_VAR: &'static str = "HLSGNN_BATCH";
-
-    /// The environment variable overriding the per-tape node budget.
-    pub const NODE_BUDGET_ENV_VAR: &'static str = "HLSGNN_BATCH_NODES";
-
     /// The default working-set target of one fused tape, in `f32` elements of
     /// one `nodes × hidden` intermediate: 1 048 576 floats = 4 MiB. The old
     /// 24 576-float (96 KiB) budget dodged an allocator cliff — the previous
@@ -166,105 +158,23 @@ impl BatchConfig {
     /// budget grows — 128-node tapes ≈ 75 s, 512 ≈ 70 s, 4096 ≈ 61 s —
     /// because bigger fused kernels amortise per-chunk encode/fuse overhead
     /// and there is no longer a per-op allocation penalty for large
-    /// intermediates. The cap therefore sits high enough that the fusion
-    /// width (the mini-batch size), not the node budget, is what normally
-    /// closes a chunk; it survives only as a memory guard for degenerate
-    /// corpora of huge graphs.
+    /// intermediates. The cap therefore sits high enough that the mini-batch
+    /// size, not the node budget, is what normally closes a chunk; it
+    /// survives only as a memory guard for degenerate corpora of huge graphs.
     pub const MAX_FUSED_NODES: usize = 4096;
 
-    /// Fuse each mini-batch up to the derived node budget (the default).
-    pub fn default_fused() -> Self {
-        BatchConfig { width_override: None, node_budget_override: None }
-    }
-
-    /// One tape per graph: the exact legacy per-graph code path.
-    pub fn legacy() -> Self {
-        BatchConfig::with_width(1)
-    }
-
-    /// Forces a fixed fusion width; `0` is treated as "no override" (fuse the
-    /// configured batch size).
-    pub fn with_width(width: usize) -> Self {
-        BatchConfig { width_override: NonZeroUsize::new(width), node_budget_override: None }
-    }
-
-    /// Caps every fused tape at `nodes` nodes instead of the derived budget;
-    /// `0` restores the derived budget.
+    /// Caps every chunk at `nodes` nodes instead of the derived budget; `0`
+    /// restores the derived budget.
     pub fn with_node_budget(mut self, nodes: usize) -> Self {
         self.node_budget_override = NonZeroUsize::new(nodes);
         self
     }
 
-    /// Reads the fusion configuration from `HLSGNN_BATCH` (width: unset,
-    /// empty or `0` = the configured batch size; `1` = the exact legacy
-    /// per-graph path) and `HLSGNN_BATCH_NODES` (per-tape node budget: unset
-    /// or `0` = derived from the hidden dimension). Unparseable values warn
-    /// on stderr and fall back to the default. Read once per process
-    /// (consistent with [`ParallelConfig::from_env`]).
-    pub fn from_env() -> Self {
-        static CACHE: std::sync::OnceLock<BatchConfig> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(|| {
-            Self::from_env_values(
-                &std::env::var(Self::ENV_VAR).unwrap_or_default(),
-                &std::env::var(Self::NODE_BUDGET_ENV_VAR).unwrap_or_default(),
-            )
-        })
-    }
-
-    /// The parsing behind [`BatchConfig::from_env`], separated from the
-    /// process environment so it can be tested without races on env state.
-    fn from_env_values(raw_width: &str, raw_budget: &str) -> Self {
-        let parse = |raw: &str, what: &str, meaning: &str| -> Option<NonZeroUsize> {
-            let raw = raw.trim();
-            if raw.is_empty() {
-                return None;
-            }
-            match raw.parse::<usize>() {
-                Ok(value) => NonZeroUsize::new(value),
-                Err(_) => {
-                    eprintln!(
-                        "warning: unrecognised {what} value `{raw}`; falling back to the \
-                         default ({meaning})"
-                    );
-                    None
-                }
-            }
-        };
-        BatchConfig {
-            width_override: parse(
-                raw_width,
-                Self::ENV_VAR,
-                "expected a fusion width, 0 or unset = batch size, 1 = legacy per-graph tapes",
-            ),
-            node_budget_override: parse(
-                raw_budget,
-                Self::NODE_BUDGET_ENV_VAR,
-                "expected a per-tape node budget, 0 or unset = derived from the hidden dimension",
-            ),
-        }
-    }
-
-    /// The fusion width to use for a configured mini-batch size (always at
-    /// least 1).
-    pub fn effective_width(&self, configured_batch_size: usize) -> usize {
-        match self.width_override {
-            Some(width) => width.get(),
-            None => configured_batch_size.max(1),
-        }
-    }
-
-    /// True when the configuration selects the exact legacy per-graph path
-    /// for the given configured batch size.
-    pub fn is_legacy(&self, configured_batch_size: usize) -> bool {
-        self.effective_width(configured_batch_size) == 1
-    }
-
-    /// Maximum node count of one fused tape for a model of the given hidden
+    /// Maximum node count of one chunk for a model of the given hidden
     /// dimension: [`BatchConfig::MAX_FUSED_NODES`], shrunk further for very
     /// wide models so a `nodes × hidden` intermediate stays under
     /// [`BatchConfig::DEFAULT_BUDGET_FLOATS`]. Overridable via
-    /// [`BatchConfig::with_node_budget`] / `HLSGNN_BATCH_NODES`. Always at
-    /// least 1.
+    /// [`BatchConfig::with_node_budget`]. Always at least 1.
     pub fn node_budget(&self, hidden_dim: usize) -> usize {
         match self.node_budget_override {
             Some(nodes) => nodes.get(),
@@ -275,18 +185,13 @@ impl BatchConfig {
     }
 
     /// Deterministically packs a run of samples (given their node counts, in
-    /// order) into fused chunks: a chunk closes once it holds
-    /// [`BatchConfig::effective_width`] graphs or fusing the next graph would
-    /// exceed the node budget. Every chunk holds at least one graph (a graph
-    /// larger than the whole budget still forms its own chunk). Returns the
-    /// chunk lengths; they sum to `sizes.len()`.
-    pub fn plan_chunks(
-        &self,
-        sizes: &[usize],
-        configured_batch_size: usize,
-        hidden_dim: usize,
-    ) -> Vec<usize> {
-        let width = self.effective_width(configured_batch_size);
+    /// order) into chunks: a chunk closes once it holds `batch_size` graphs
+    /// or fusing the next graph would exceed the node budget. Every chunk
+    /// holds at least one graph (a graph larger than the whole budget still
+    /// forms its own chunk). Returns the chunk lengths; they sum to
+    /// `sizes.len()`.
+    pub fn plan_chunks(&self, sizes: &[usize], batch_size: usize, hidden_dim: usize) -> Vec<usize> {
+        let width = batch_size.max(1);
         let budget = self.node_budget(hidden_dim);
         let mut lengths = Vec::new();
         let mut count = 0usize;
@@ -490,28 +395,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_env_parsing_covers_the_grammar() {
-        assert_eq!(BatchConfig::from_env_values("", ""), BatchConfig::default_fused());
-        assert_eq!(BatchConfig::from_env_values("0", " "), BatchConfig::default_fused());
-        assert_eq!(BatchConfig::from_env_values("1", ""), BatchConfig::legacy());
-        assert_eq!(BatchConfig::from_env_values(" 8 ", ""), BatchConfig::with_width(8));
-        assert_eq!(
-            BatchConfig::from_env_values("8", "512"),
-            BatchConfig::with_width(8).with_node_budget(512)
-        );
-        // Garbage warns and falls back instead of panicking or masking.
-        assert_eq!(BatchConfig::from_env_values("many", "wide"), BatchConfig::default_fused());
-        assert!(BatchConfig::legacy().is_legacy(16));
-        assert!(!BatchConfig::default_fused().is_legacy(16));
-        assert!(BatchConfig::default_fused().is_legacy(1));
-        assert_eq!(BatchConfig::with_width(0), BatchConfig::default_fused());
-        assert_eq!(BatchConfig::default_fused().effective_width(16), 16);
-        assert_eq!(BatchConfig::with_width(4).effective_width(16), 4);
-    }
-
-    #[test]
     fn node_budget_derivation_and_overrides() {
-        let config = BatchConfig::default_fused();
+        let config = BatchConfig::default();
         // Narrow models cap at MAX_FUSED_NODES, very wide models shrink so
         // one nodes × hidden intermediate stays within the float budget.
         assert_eq!(config.node_budget(16), BatchConfig::MAX_FUSED_NODES);
@@ -523,16 +408,16 @@ mod tests {
     }
 
     #[test]
-    fn chunk_planning_respects_width_and_budget_and_covers_all_samples() {
-        let config = BatchConfig::default_fused().with_node_budget(100);
-        // Width cap.
+    fn chunk_planning_respects_batch_size_and_budget_and_covers_all_samples() {
+        let config = BatchConfig::default().with_node_budget(100);
+        // Mini-batch cap.
         assert_eq!(config.plan_chunks(&[10; 7], 3, 16), vec![3, 3, 1]);
         // Budget cap (40+40 fits, a third 40 would overflow).
         assert_eq!(config.plan_chunks(&[40; 5], 16, 16), vec![2, 2, 1]);
         // An over-budget graph still forms its own chunk.
         assert_eq!(config.plan_chunks(&[250, 10, 10], 16, 16), vec![1, 2]);
-        // Legacy width packs one graph per chunk.
-        assert_eq!(BatchConfig::legacy().plan_chunks(&[10; 3], 16, 16), vec![1, 1, 1]);
+        // A one-node budget packs one graph per chunk.
+        assert_eq!(config.with_node_budget(1).plan_chunks(&[10; 3], 16, 16), vec![1, 1, 1]);
         // Empty input plans nothing.
         assert!(config.plan_chunks(&[], 16, 16).is_empty());
     }

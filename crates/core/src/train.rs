@@ -130,9 +130,8 @@ impl Default for TrainConfig {
 /// Per-epoch mean training loss, returned by the training loops.
 pub type LossHistory = Vec<f64>;
 
-/// Trains a graph-level regressor in place, on the fusion width configured by
-/// `HLSGNN_BATCH` ([`BatchConfig::from_env`]). Returns the per-epoch mean
-/// loss. Use [`train_regressor_with`] to pass an explicit fusion width.
+/// Trains a graph-level regressor in place on the default chunk plan
+/// ([`BatchConfig::default`]). Returns the per-epoch mean loss.
 ///
 /// # Panics
 /// Panics if `config.batch_size` is zero — reject such configs up front with
@@ -143,7 +142,8 @@ pub fn train_regressor(
     train: &Dataset,
     config: &TrainConfig,
 ) -> LossHistory {
-    train_regressor_with(&BatchConfig::from_env(), model, normalizer, train, config)
+    train_regressor_source(model, normalizer, train, config)
+        .expect("fetching from an in-memory dataset cannot fail")
 }
 
 /// [`train_regressor`] over any [`SampleSource`]: the loop only ever holds
@@ -164,50 +164,22 @@ pub fn train_regressor_source(
     train: &(impl SampleSource + ?Sized),
     config: &TrainConfig,
 ) -> crate::Result<LossHistory> {
-    train_regressor_source_with(&BatchConfig::from_env(), model, normalizer, train, config)
+    train_regressor_source_with(&BatchConfig::default(), model, normalizer, train, config)
 }
 
-/// [`train_regressor`] with an explicit fusion width.
-///
-/// The SGD protocol — shuffling, mini-batch boundaries, loss scaling — is
-/// identical for every fusion width; the width only controls how many graphs
-/// share one autodiff tape per gradient step:
-///
-/// * width 1 ([`BatchConfig::legacy`]): one tape per graph, gradients
-///   accumulated across the mini-batch — the exact historical code path,
-///   bit-identical to pre-fusion releases.
-/// * width ≥ mini-batch size (the default): the whole mini-batch fuses into
-///   one [`gnn::GraphBatch`] super-graph; one `B × 4` forward and one batched
-///   MSE replace `B` per-graph tapes. The fused loss `mean((P − T)²)` over
-///   the `B × 4` prediction matrix equals the mean of the per-graph MSEs, so
-///   gradient *semantics* match the legacy path exactly (floating-point
-///   association and, with nonzero dropout, mask streams differ).
-/// * intermediate widths fuse sub-chunks of the mini-batch and accumulate,
-///   trading tape size against peak memory.
-///
-/// With `config.batch_size == 1` every path collapses to the same single
-/// graph per step and the results are bit-identical regardless of width.
-///
-/// # Panics
-/// Panics if `config.batch_size` is zero — reject such configs up front with
-/// [`TrainConfig::validate`].
-pub fn train_regressor_with(
-    batch_config: &BatchConfig,
-    model: &GraphRegressor,
-    normalizer: &TargetNormalizer,
-    train: &Dataset,
-    config: &TrainConfig,
-) -> LossHistory {
-    train_regressor_source_with(batch_config, model, normalizer, train, config)
-        .expect("fetching from an in-memory dataset cannot fail")
-}
-
-/// [`train_regressor_source`] with an explicit fusion width. This is *the*
+/// [`train_regressor_source`] with an explicit chunk plan. This is *the*
 /// regressor training loop — the `Dataset` entry points call it through the
 /// borrowing [`SampleSource`] impl, so the streamed and in-RAM paths cannot
 /// drift apart. Each shuffled mini-batch is fetched up front (borrowed
 /// zero-copy from a `Dataset`, decoded on demand from an on-disk store) and
-/// then runs the exact historical per-graph / fused tape logic.
+/// split into chunks by [`BatchConfig::plan_chunks`]; each chunk fuses into
+/// one [`gnn::GraphBatch`] super-graph, with one `B × 4` forward and one
+/// batched MSE. The chunk MSE `mean((P − T)²)` over the `B × 4` prediction
+/// matrix equals the mean of the per-graph MSEs, and scaling it by
+/// `|chunk| / |mini-batch|` accumulates the gradient of the mini-batch mean
+/// loss, so the node budget changes how a mini-batch's tapes are built —
+/// floating-point association and, with nonzero dropout, mask streams — but
+/// not the SGD protocol.
 ///
 /// # Errors
 /// Propagates the source's fetch failures.
@@ -223,7 +195,6 @@ pub fn train_regressor_source_with(
     config: &TrainConfig,
 ) -> crate::Result<LossHistory> {
     assert!(config.batch_size > 0, "TrainConfig::batch_size must be at least 1 (see validate())");
-    let width = batch_config.effective_width(config.batch_size);
     let params = model.parameters();
     let mut adam = Adam::new(params.clone(), config.learning_rate);
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(17));
@@ -250,54 +221,23 @@ pub fn train_regressor_source_with(
                     gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Optimizer);
                 adam.zero_grad();
             }
-            if width == 1 {
-                // Legacy per-graph tapes (exact historical behaviour).
-                for sample in &fetched {
-                    let sample: &GraphSample = sample;
-                    let target = Matrix::row_vector(&normalizer.normalize(&sample.targets));
-                    let prediction = model.forward(sample, None, true, &mut rng);
-                    let loss = prediction.mse(&target).scale(1.0 / batch.len() as f32);
-                    epoch_loss += f64::from(loss.scalar_value()) * batch.len() as f64;
-                    loss.backward();
-                }
-            } else {
-                let sizes: Vec<usize> = fetched.iter().map(|s| s.num_nodes()).collect();
-                let mut start = 0;
-                for length in batch_config.plan_chunks(&sizes, config.batch_size, config.hidden_dim)
-                {
-                    let chunk = &fetched[start..start + length];
-                    start += length;
-                    if length == 1 {
-                        // A graph that fills (or overflows) the node budget on
-                        // its own: run it on the plain per-graph path, which
-                        // skips the fuse/encode-batch copies entirely.
-                        let sample: &GraphSample = &chunk[0];
-                        let target = Matrix::row_vector(&normalizer.normalize(&sample.targets));
-                        let prediction = model.forward(sample, None, true, &mut rng);
-                        let loss = prediction.mse(&target).scale(1.0 / batch.len() as f32);
-                        epoch_loss += f64::from(loss.scalar_value()) * batch.len() as f64;
-                        loss.backward();
-                        continue;
-                    }
-                    let assemble_timer =
-                        gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
-                    let samples: Vec<&GraphSample> = chunk.iter().map(Cow::as_ref).collect();
-                    let normalized: Vec<[f32; TargetMetric::COUNT]> =
-                        samples.iter().map(|s| normalizer.normalize(&s.targets)).collect();
-                    let targets =
-                        Matrix::from_fn(samples.len(), TargetMetric::COUNT, |row, col| {
-                            normalized[row][col]
-                        });
-                    drop(assemble_timer);
-                    let prediction = model.forward_batch(&samples, None, true, &mut rng);
-                    // Batched MSE over the chunk × targets matrix: its mean
-                    // equals the mean of the per-graph MSEs, so scaling by
-                    // |chunk| / |batch| accumulates the same gradient the
-                    // legacy loop sums one graph at a time.
-                    let chunk_loss = prediction.mse(&targets);
-                    epoch_loss += f64::from(chunk_loss.scalar_value()) * chunk.len() as f64;
-                    chunk_loss.scale(chunk.len() as f32 / batch.len() as f32).backward();
-                }
+            let sizes: Vec<usize> = fetched.iter().map(|s| s.num_nodes()).collect();
+            let mut start = 0;
+            for length in batch_config.plan_chunks(&sizes, config.batch_size, config.hidden_dim) {
+                let chunk = &fetched[start..start + length];
+                start += length;
+                let assemble_timer =
+                    gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
+                let samples: Vec<&GraphSample> = chunk.iter().map(Cow::as_ref).collect();
+                let normalized: Vec<[f32; TargetMetric::COUNT]> =
+                    samples.iter().map(|s| normalizer.normalize(&s.targets)).collect();
+                let targets =
+                    Matrix::from_fn(length, TargetMetric::COUNT, |row, col| normalized[row][col]);
+                drop(assemble_timer);
+                let prediction = model.forward_batch(&samples, None, true, &mut rng);
+                let chunk_loss = prediction.mse(&targets);
+                epoch_loss += f64::from(chunk_loss.scalar_value()) * length as f64;
+                chunk_loss.scale(length as f32 / batch.len() as f32).backward();
             }
             let optim_timer =
                 gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Optimizer);
@@ -313,7 +253,9 @@ pub fn train_regressor_source_with(
     Ok(history)
 }
 
-/// Predicts the raw `[DSP, LUT, FF, CP]` values for one sample.
+/// Predicts the raw `[DSP, LUT, FF, CP]` values for one sample, run as a
+/// batch of one. `type_override` carries one self-inferred resource-type
+/// triple per node (the knowledge-infused inference path).
 pub fn predict_regressor(
     model: &GraphRegressor,
     normalizer: &TargetNormalizer,
@@ -321,15 +263,21 @@ pub fn predict_regressor(
     type_override: Option<&[[f32; 3]]>,
 ) -> [f64; TargetMetric::COUNT] {
     let mut rng = StdRng::seed_from_u64(0);
-    let output = model.forward(sample, type_override, false, &mut rng).value();
+    let output = model.forward_batch(&[sample], type_override, false, &mut rng).value();
     // Inference tapes are single-use; recycle immediately so long-running
     // callers (the serve workers) stay at steady-state memory.
     gnn_tensor::tape::reset();
-    let mut normalized = [0.0f32; TargetMetric::COUNT];
-    for (index, value) in normalized.iter_mut().enumerate() {
-        *value = output.get(0, index);
-    }
-    normalizer.denormalize(&normalized)
+    denormalize_row(normalizer, &output, 0)
+}
+
+/// Maps one row of a `B × 4` normalised prediction matrix back to raw
+/// target values.
+pub(crate) fn denormalize_row(
+    normalizer: &TargetNormalizer,
+    output: &Matrix,
+    row: usize,
+) -> [f64; TargetMetric::COUNT] {
+    normalizer.denormalize(&std::array::from_fn(|col| output.get(row, col)))
 }
 
 /// Per-target MAPE of a regressor over a dataset. An empty dataset evaluates
@@ -420,7 +368,9 @@ pub fn train_node_classifier_source(
                     Matrix::from_fn(sample.num_nodes(), ResourceClass::COUNT, |node, class| {
                         sample.node_resource_types[node][class]
                     });
-                let logits = model.forward(sample, true, &mut rng);
+                // One graph per tape: the loss is weighted per graph, not
+                // per node.
+                let logits = model.forward(&[sample], true, &mut rng);
                 let loss = logits.bce_with_logits(&labels).scale(1.0 / batch.len() as f32);
                 epoch_loss += f64::from(loss.scalar_value()) * batch.len() as f64;
                 loss.backward();
@@ -447,7 +397,8 @@ pub fn evaluate_node_classifier(
     let mut labels: Vec<Vec<f64>> = vec![Vec::new(); ResourceClass::COUNT];
     let mut rng = StdRng::seed_from_u64(0);
     for sample in &dataset.samples {
-        let logits = model.forward(sample, false, &mut rng).value();
+        let logits = model.forward(&[sample], false, &mut rng).value();
+        gnn_tensor::tape::reset();
         for node in 0..sample.num_nodes() {
             for class in 0..ResourceClass::COUNT {
                 let probability = 1.0 / (1.0 + (-f64::from(logits.get(node, class))).exp());
@@ -522,24 +473,6 @@ mod tests {
         config.batch_size = 0;
         let model = NodeClassifierModel::new(GnnKind::Gcn, &config);
         let _ = train_node_classifier(&model, &dataset, &config);
-    }
-
-    #[test]
-    fn fused_training_reduces_loss_like_the_legacy_path() {
-        let dataset = tiny_dataset(12);
-        let mut config = TrainConfig::fast();
-        config.epochs = 6;
-        let normalizer = TargetNormalizer::fit(&dataset).unwrap();
-        let model = GraphRegressor::new(GnnKind::GraphSage, FeatureMode::Base, &config);
-        let batch = crate::runtime::BatchConfig::default_fused().with_node_budget(1_000_000);
-        let history = train_regressor_with(&batch, &model, &normalizer, &dataset, &config);
-        assert_eq!(history.len(), config.epochs);
-        assert!(
-            history.last().unwrap() < history.first().unwrap(),
-            "fused training must reduce the loss: {history:?}"
-        );
-        let mape = evaluate_regressor(&model, &normalizer, &dataset);
-        assert!(mape.iter().all(|m| m.is_finite()));
     }
 
     #[test]

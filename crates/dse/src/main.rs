@@ -16,7 +16,7 @@
 //! `anneal`, `nsga2` or `all`), `HLSGNN_DSE_SEED`, `HLSGNN_DSE_BUDGET`
 //! (distinct evaluations for the budgeted strategies; default a quarter of
 //! the space), `HLSGNN_DSE_POP` / `HLSGNN_DSE_GENS` (NSGA-II shape), plus
-//! the engine-wide `HLSGNN_WORKERS` / `HLSGNN_BATCH`. Each strategy writes
+//! the engine-wide `HLSGNN_WORKERS`. Each strategy writes
 //! `results/dse_<space>_<strategy>.json`; for a fixed seed the bytes are
 //! identical across runs and worker counts.
 
@@ -122,7 +122,7 @@ fn main() {
              Devices: {} (or any part from a --catalog file).\n\
              Env: HLSGNN_DSE_STRATEGY (exhaustive|random|anneal|nsga2|all),\n\
              HLSGNN_DSE_SEED, HLSGNN_DSE_BUDGET, HLSGNN_DSE_POP, HLSGNN_DSE_GENS,\n\
-             HLSGNN_WORKERS, HLSGNN_BATCH.",
+             HLSGNN_WORKERS.",
             DesignSpace::NAMED.join(", "),
             DeviceCatalog::builtin().names().join(", ")
         );

@@ -106,17 +106,6 @@ impl GraphData {
         degrees
     }
 
-    /// In-degree of every node restricted to one relation.
-    pub fn in_degrees_for_relation(&self, relation: usize) -> Vec<usize> {
-        let mut degrees = vec![0usize; self.num_nodes];
-        for (edge, &dst) in self.edge_dst.iter().enumerate() {
-            if self.edge_relation[edge] == relation {
-                degrees[dst] += 1;
-            }
-        }
-        degrees
-    }
-
     /// Edge indices belonging to one relation.
     pub fn edges_of_relation(&self, relation: usize) -> Vec<usize> {
         (0..self.edge_count()).filter(|&e| self.edge_relation[e] == relation).collect()
@@ -229,7 +218,6 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.in_degrees(), vec![1, 1, 1]);
         assert_eq!(g.out_degrees(), vec![1, 1, 1]);
-        assert_eq!(g.in_degrees_for_relation(1), vec![0, 0, 1]);
         assert_eq!(g.edges_of_relation(0), vec![0, 2]);
     }
 

@@ -12,29 +12,61 @@ use rand::rngs::StdRng;
 use super::GnnLayer;
 use crate::graph::GraphData;
 
-/// Maps a relation's destination list onto a compact index space: the
-/// distinct destinations in first-appearance order, plus the list rewritten
-/// to those compact ids.
+/// The message passing shared by GGNN, RGCN and GNN-FiLM. For every
+/// relation with edges, `message(relation, src, dst)` builds one row per
+/// edge; the rows are summed per destination node in a compact space that
+/// holds only that relation's destinations (in first-appearance order), and
+/// with `mean` each sum is divided by the node's in-degree under the
+/// relation. Returns every relation's sums stacked in relation order, with
+/// the node each row belongs to, ready for one [`Var::scatter_add_onto`] —
+/// or `None` when the graph has no edges.
 ///
-/// On a fused super-graph most relations touch only a small fraction of the
-/// node set, but `scatter_add_rows(dst, num_nodes)` + full-width scale/add
-/// cost `O(num_nodes × d)` *per relation* regardless. Aggregating into the
-/// compact space first and applying one [`Var::scatter_add_onto`] over all
-/// relations keeps each layer at `O(edges × d + num_nodes × d)` total — and
-/// preserves the exact per-node, per-relation accumulation order of the
-/// full-width loop, so fused results stay bit-identical to per-graph runs.
-fn compact_targets(num_nodes: usize, dst: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let mut compact_of = vec![usize::MAX; num_nodes];
-    let mut active = Vec::new();
-    let mut compact_dst = Vec::with_capacity(dst.len());
-    for &node in dst {
-        if compact_of[node] == usize::MAX {
-            compact_of[node] = active.len();
-            active.push(node);
+/// Aggregating in the compact space keeps a layer at `O(edges × d +
+/// num_nodes × d)` instead of `O(relations × num_nodes × d)`, and keeps the
+/// per-node, per-relation accumulation order of a full-width
+/// `scatter_add_rows(dst, num_nodes)` loop, so a fused super-graph and its
+/// member graphs get bit-identical rows.
+fn aggregate_relations(
+    graph: &GraphData,
+    relations: usize,
+    mean: bool,
+    message: impl Fn(usize, &[usize], &[usize]) -> Var,
+) -> Option<(Var, Vec<usize>)> {
+    let mut partials: Vec<Var> = Vec::new();
+    let mut targets: Vec<usize> = Vec::new();
+    let mut compact_of = vec![usize::MAX; graph.num_nodes];
+    for relation in 0..relations {
+        let edges = graph.edges_of_relation(relation);
+        if edges.is_empty() {
+            continue;
         }
-        compact_dst.push(compact_of[node]);
+        let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
+        let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
+        let messages = message(relation, &src, &dst);
+        let first = targets.len();
+        let mut degrees: Vec<usize> = Vec::new();
+        let mut compact_dst = Vec::with_capacity(dst.len());
+        for &node in &dst {
+            if compact_of[node] == usize::MAX {
+                compact_of[node] = degrees.len();
+                degrees.push(0);
+                targets.push(node);
+            }
+            degrees[compact_of[node]] += 1;
+            compact_dst.push(compact_of[node]);
+        }
+        for &node in &targets[first..] {
+            compact_of[node] = usize::MAX;
+        }
+        let sums = messages.scatter_add_rows(&compact_dst, degrees.len());
+        partials.push(if mean {
+            let inverse: Vec<f32> = degrees.iter().map(|&d| 1.0 / d as f32).collect();
+            sums.scale_rows(&inverse)
+        } else {
+            sums
+        });
     }
-    (active, compact_dst)
+    (!partials.is_empty()).then(|| (Var::concat_rows(&partials), targets))
 }
 
 /// Graph attention network layer (Veličković et al.) with a single head and
@@ -127,54 +159,18 @@ impl Ggnn {
     }
 
     fn relation_messages(&self, graph: &GraphData, h: &Var) -> Var {
-        if graph.segments().is_some() {
-            // Fused super-graph: aggregate each relation in its compact
-            // destination space, then apply every relation's per-node sum in
-            // one scatter onto a zero base — the same per-relation partial
-            // sums and relation-order accumulation as the loop below (see
-            // `compact_targets`).
-            let mut partials: Vec<Var> = Vec::new();
-            let mut targets: Vec<usize> = Vec::new();
-            for (relation, linear) in self.relation_linears.iter().enumerate() {
-                let edges = graph.edges_of_relation(relation);
-                if edges.is_empty() {
-                    continue;
-                }
-                let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
-                let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
-                let (active, compact_dst) = compact_targets(graph.num_nodes, &dst);
-                partials.push(
-                    linear
-                        .forward(&h.gather_rows(&src))
-                        .scatter_add_rows(&compact_dst, active.len()),
-                );
-                targets.extend(active);
-            }
-            if !partials.is_empty() {
-                let base = Var::new(gnn_tensor::Matrix::zeros(graph.num_nodes, self.out_dim));
-                return base.scatter_add_onto(&Var::concat_rows(&partials), &targets);
-            }
-            return self.state_projection.forward(h).scale(0.0);
-        }
-        let mut total: Option<Var> = None;
-        for (relation, linear) in self.relation_linears.iter().enumerate() {
-            let edges = graph.edges_of_relation(relation);
-            if edges.is_empty() {
-                continue;
-            }
-            let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
-            let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
-            let messages =
-                linear.forward(&h.gather_rows(&src)).scatter_add_rows(&dst, graph.num_nodes);
-            total = Some(match total {
-                Some(acc) => acc.add(&messages),
-                None => messages,
+        let aggregated =
+            aggregate_relations(graph, self.relation_linears.len(), false, |relation, src, _| {
+                self.relation_linears[relation].forward(&h.gather_rows(src))
             });
-        }
-        total.unwrap_or_else(|| {
+        match aggregated {
+            Some((sums, targets)) => {
+                let base = Var::new(gnn_tensor::Matrix::zeros(graph.num_nodes, self.out_dim));
+                base.scatter_add_onto(&sums, &targets)
+            }
             // No edges at all: zero messages.
-            self.state_projection.forward(h).scale(0.0)
-        })
+            None => self.state_projection.forward(h).scale(0.0),
+        }
     }
 }
 
@@ -243,56 +239,14 @@ impl Rgcn {
 impl GnnLayer for Rgcn {
     fn forward(&self, graph: &GraphData, h: &Var) -> Var {
         let out = self.self_linear.forward(h);
-        if graph.segments().is_some() {
-            // Fused super-graph: aggregate each relation in its compact
-            // destination space, then apply every relation's contribution in
-            // one scatter — same values and accumulation order as the
-            // full-width loop below, without its O(relations × nodes × d)
-            // cost.
-            let mut partials: Vec<Var> = Vec::new();
-            let mut targets: Vec<usize> = Vec::new();
-            for (relation, linear) in self.relation_linears.iter().enumerate() {
-                let edges = graph.edges_of_relation(relation);
-                if edges.is_empty() {
-                    continue;
-                }
-                let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
-                let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
-                let (active, compact_dst) = compact_targets(graph.num_nodes, &dst);
-                let degrees = graph.in_degrees_for_relation(relation);
-                let inverse: Vec<f32> =
-                    active.iter().map(|&node| 1.0 / degrees[node] as f32).collect();
-                partials.push(
-                    linear
-                        .forward(&h.gather_rows(&src))
-                        .scatter_add_rows(&compact_dst, active.len())
-                        .scale_rows(&inverse),
-                );
-                targets.extend(active);
-            }
-            return match partials.is_empty() {
-                true => out,
-                false => out.scatter_add_onto(&Var::concat_rows(&partials), &targets),
-            };
+        let aggregated =
+            aggregate_relations(graph, self.relation_linears.len(), true, |relation, src, _| {
+                self.relation_linears[relation].forward(&h.gather_rows(src))
+            });
+        match aggregated {
+            Some((sums, targets)) => out.scatter_add_onto(&sums, &targets),
+            None => out,
         }
-        let mut out = out;
-        for (relation, linear) in self.relation_linears.iter().enumerate() {
-            let edges = graph.edges_of_relation(relation);
-            if edges.is_empty() {
-                continue;
-            }
-            let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
-            let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
-            let degrees = graph.in_degrees_for_relation(relation);
-            let inverse: Vec<f32> =
-                degrees.iter().map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 }).collect();
-            let messages = linear
-                .forward(&h.gather_rows(&src))
-                .scatter_add_rows(&dst, graph.num_nodes)
-                .scale_rows(&inverse);
-            out = out.add(&messages);
-        }
-        out
     }
 
     fn parameters(&self) -> Vec<Var> {
@@ -335,54 +289,17 @@ impl Film {
 impl GnnLayer for Film {
     fn forward(&self, graph: &GraphData, h: &Var) -> Var {
         let out = self.self_linear.forward(h);
-        if graph.segments().is_some() {
-            // Fused super-graph: compact per-relation aggregation, one final
-            // scatter (see `compact_targets`).
-            let mut partials: Vec<Var> = Vec::new();
-            let mut targets: Vec<usize> = Vec::new();
-            for relation in 0..self.relation_weights.len() {
-                let edges = graph.edges_of_relation(relation);
-                if edges.is_empty() {
-                    continue;
-                }
-                let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
-                let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
-                let sources = self.relation_weights[relation].forward(&h.gather_rows(&src));
-                let gamma = self.relation_gamma[relation].forward(&h.gather_rows(&dst)).sigmoid();
-                let beta = self.relation_beta[relation].forward(&h.gather_rows(&dst));
-                let (active, compact_dst) = compact_targets(graph.num_nodes, &dst);
-                let degrees = graph.in_degrees_for_relation(relation);
-                let inverse: Vec<f32> =
-                    active.iter().map(|&node| 1.0 / degrees[node] as f32).collect();
-                let modulated = gamma.mul(&sources).add(&beta);
-                partials.push(
-                    modulated.scatter_add_rows(&compact_dst, active.len()).scale_rows(&inverse),
-                );
-                targets.extend(active);
-            }
-            return match partials.is_empty() {
-                true => out,
-                false => out.scatter_add_onto(&Var::concat_rows(&partials), &targets),
-            };
+        let aggregated =
+            aggregate_relations(graph, self.relation_weights.len(), true, |relation, src, dst| {
+                let sources = self.relation_weights[relation].forward(&h.gather_rows(src));
+                let gamma = self.relation_gamma[relation].forward(&h.gather_rows(dst)).sigmoid();
+                let beta = self.relation_beta[relation].forward(&h.gather_rows(dst));
+                gamma.mul(&sources).add(&beta)
+            });
+        match aggregated {
+            Some((sums, targets)) => out.scatter_add_onto(&sums, &targets),
+            None => out,
         }
-        let mut out = out;
-        for relation in 0..self.relation_weights.len() {
-            let edges = graph.edges_of_relation(relation);
-            if edges.is_empty() {
-                continue;
-            }
-            let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
-            let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
-            let sources = self.relation_weights[relation].forward(&h.gather_rows(&src));
-            let gamma = self.relation_gamma[relation].forward(&h.gather_rows(&dst)).sigmoid();
-            let beta = self.relation_beta[relation].forward(&h.gather_rows(&dst));
-            let degrees = graph.in_degrees_for_relation(relation);
-            let inverse: Vec<f32> =
-                degrees.iter().map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 }).collect();
-            let modulated = gamma.mul(&sources).add(&beta);
-            out = out.add(&modulated.scatter_add_rows(&dst, graph.num_nodes).scale_rows(&inverse));
-        }
-        out
     }
 
     fn parameters(&self) -> Vec<Var> {
@@ -463,6 +380,121 @@ mod tests {
         // Node 2 (the destination) modulates its incoming messages, so changing
         // its features changes its output beyond the self term alone.
         assert_ne!(layer_out_base.row(2), layer_out_changed.row(2));
+    }
+
+    /// The full-width relation loop the compact aggregation replaced: each
+    /// relation scatters onto all `num_nodes` rows (divided by the in-degree
+    /// with `mean`) and is added onto the running total in relation order.
+    /// Kept as the oracle [`aggregate_relations`] must match bit for bit.
+    fn full_width(
+        graph: &GraphData,
+        relations: usize,
+        mean: bool,
+        base: Option<Var>,
+        message: impl Fn(usize, &[usize], &[usize]) -> Var,
+    ) -> Option<Var> {
+        let mut total = base;
+        for relation in 0..relations {
+            let edges = graph.edges_of_relation(relation);
+            if edges.is_empty() {
+                continue;
+            }
+            let src: Vec<usize> = edges.iter().map(|&e| graph.edge_src[e]).collect();
+            let dst: Vec<usize> = edges.iter().map(|&e| graph.edge_dst[e]).collect();
+            let mut messages =
+                message(relation, &src, &dst).scatter_add_rows(&dst, graph.num_nodes);
+            if mean {
+                let mut degrees = vec![0usize; graph.num_nodes];
+                for &node in &dst {
+                    degrees[node] += 1;
+                }
+                let inverse: Vec<f32> =
+                    degrees.iter().map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 }).collect();
+                messages = messages.scale_rows(&inverse);
+            }
+            total = Some(match total {
+                Some(acc) => acc.add(&messages),
+                None => messages,
+            });
+        }
+        total
+    }
+
+    fn ggnn_messages_oracle(layer: &Ggnn, graph: &GraphData, h: &Var) -> Var {
+        full_width(graph, layer.relation_linears.len(), false, None, |relation, src, _| {
+            layer.relation_linears[relation].forward(&h.gather_rows(src))
+        })
+        .unwrap_or_else(|| layer.state_projection.forward(h).scale(0.0))
+    }
+
+    fn rgcn_oracle(layer: &Rgcn, graph: &GraphData, h: &Var) -> Var {
+        let out = layer.self_linear.forward(h);
+        full_width(graph, layer.relation_linears.len(), true, Some(out), |relation, src, _| {
+            layer.relation_linears[relation].forward(&h.gather_rows(src))
+        })
+        .expect("the self term is always present")
+    }
+
+    fn film_oracle(layer: &Film, graph: &GraphData, h: &Var) -> Var {
+        let out = layer.self_linear.forward(h);
+        full_width(graph, layer.relation_weights.len(), true, Some(out), |relation, src, dst| {
+            let sources = layer.relation_weights[relation].forward(&h.gather_rows(src));
+            let gamma = layer.relation_gamma[relation].forward(&h.gather_rows(dst)).sigmoid();
+            let beta = layer.relation_beta[relation].forward(&h.gather_rows(dst));
+            gamma.mul(&sources).add(&beta)
+        })
+        .expect("the self term is always present")
+    }
+
+    fn assert_same_bits(compact: &Var, oracle: &Var, context: &str) {
+        let (compact, oracle) = (compact.value(), oracle.value());
+        assert_eq!(compact.shape(), oracle.shape(), "{context}");
+        for (index, (a, b)) in compact.data().iter().zip(oracle.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{context}: element {index}: {a} vs {b}");
+        }
+    }
+
+    /// Seeded random multigraphs with self loops, parallel edges, isolated
+    /// nodes and unused relations, plus the edgeless graph.
+    fn oracle_graphs() -> Vec<GraphData> {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut graphs = vec![two_relation_graph(), GraphData::new(4, vec![], vec![], vec![], 3)];
+        for _ in 0..12 {
+            let nodes = rng.gen_range(1..14usize);
+            let edges = rng.gen_range(0..40usize);
+            let src: Vec<usize> = (0..edges).map(|_| rng.gen_range(0..nodes)).collect();
+            let dst: Vec<usize> = (0..edges).map(|_| rng.gen_range(0..nodes)).collect();
+            let relation: Vec<usize> = (0..edges).map(|_| rng.gen_range(0..4usize)).collect();
+            graphs.push(GraphData::new(nodes, src, dst, relation, 4));
+        }
+        graphs
+    }
+
+    #[test]
+    fn compact_aggregation_matches_the_full_width_loops_bit_for_bit() {
+        for (index, graph) in oracle_graphs().iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(index as u64);
+            let h = Var::new(gnn_tensor::xavier_uniform(graph.num_nodes, 3, &mut rng));
+            let ggnn = Ggnn::new(3, 5, graph.num_relations, &mut rng);
+            let rgcn = Rgcn::new(3, 5, graph.num_relations, &mut rng);
+            let film = Film::new(3, 5, graph.num_relations, &mut rng);
+            assert_same_bits(
+                &ggnn.relation_messages(graph, &h),
+                &ggnn_messages_oracle(&ggnn, graph, &h),
+                &format!("GGNN graph {index}"),
+            );
+            assert_same_bits(
+                &rgcn.forward(graph, &h),
+                &rgcn_oracle(&rgcn, graph, &h),
+                &format!("RGCN graph {index}"),
+            );
+            assert_same_bits(
+                &film.forward(graph, &h),
+                &film_oracle(&film, graph, &h),
+                &format!("FiLM graph {index}"),
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests over the GNN layer zoo: for random graphs and feature
 //! matrices, every layer family must produce finite outputs of the right
-//! shape, respect isolated nodes, and remain deterministic.
+//! shape, respect isolated nodes, remain deterministic, and compute the same
+//! bits on a fused super-graph as on its member graphs.
 
-use gnn::{build_layer, GnnKind, GnnStack, GraphData, Pooling};
-use gnn_tensor::Var;
+use gnn::{build_layer, GnnKind, GnnStack, GraphBatch, GraphData, Pooling};
+use gnn_tensor::{Matrix, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,6 +26,20 @@ fn random_graph() -> impl Strategy<Value = GraphData> {
 fn features(nodes: usize, dim: usize, seed: u64) -> Var {
     let mut rng = StdRng::seed_from_u64(seed);
     Var::new(gnn_tensor::xavier_uniform(nodes, dim, &mut rng))
+}
+
+/// Asserts that `fused` holds `parts` stacked row-wise, bit for bit.
+fn assert_stacked_bits(fused: &Matrix, parts: &[Matrix], context: &str) {
+    let mut row = 0;
+    for (graph, part) in parts.iter().enumerate() {
+        for local in 0..part.rows() {
+            let (got, want) = (fused.row(row), part.row(local));
+            let same = got.iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "{context}: graph {graph} row {local}: fused {got:?} vs plain {want:?}");
+            row += 1;
+        }
+    }
+    assert_eq!(row, fused.rows(), "{context}: fused row count");
 }
 
 proptest! {
@@ -62,6 +77,43 @@ proptest! {
             prop_assert_eq!(pooled.shape(), (1, 6));
             prop_assert!(!pooled.value().has_non_finite());
         }
+    }
+
+    /// Fusion is invisible to every layer kind: one layer and a two-layer
+    /// stack run on `GraphBatch::fuse(&[&a, &b])` return, bit for bit, the
+    /// rows they return on plain `a` and `b`. On the plain graphs the
+    /// single-graph arms of VirtualNode, GraphUNet and PNA are the reference
+    /// for their segment-aware arms.
+    #[test]
+    fn fused_rows_are_bit_identical_to_plain_graph_rows(
+        a in random_graph(),
+        b in random_graph(),
+        seed in 0u64..500,
+    ) {
+        let fused = GraphBatch::fuse(&[&a, &b]);
+        let input_a = features(a.num_nodes, 5, seed);
+        let input_b = features(b.num_nodes, 5, seed ^ 7);
+        let input = Var::concat_rows(&[input_a.clone(), input_b.clone()]);
+        for kind in GnnKind::ALL {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let layer = build_layer(kind, 5, 7, 3, &mut rng);
+            let stack = GnnStack::new(kind, 5, 7, 2, 3, &mut rng);
+            let layer_rows = |graph: &GraphData, h: &Var| layer.forward(graph, h).value();
+            assert_stacked_bits(
+                &layer_rows(fused.graph(), &input),
+                &[layer_rows(&a, &input_a), layer_rows(&b, &input_b)],
+                &format!("{kind} layer"),
+            );
+            let stack_rows = |graph: &GraphData, h: &Var| {
+                stack.forward(graph, h, false, &mut StdRng::seed_from_u64(0)).value()
+            };
+            assert_stacked_bits(
+                &stack_rows(fused.graph(), &input),
+                &[stack_rows(&a, &input_a), stack_rows(&b, &input_b)],
+                &format!("{kind} two-layer stack"),
+            );
+        }
+        gnn_tensor::tape::reset();
     }
 
     /// Reversing edges never changes the node count and exactly doubles the

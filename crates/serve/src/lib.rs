@@ -16,9 +16,9 @@
 //!   so the two endpoints cannot disagree).
 //! * [`queue`] — the bounded coalescing queue: concurrent in-flight requests
 //!   are drained into one fused micro-batch, so serving amortises tape
-//!   construction exactly like training does (PR 3's `GraphBatch` engine,
-//!   including the `HLSGNN_BATCH_NODES` node budget). A full queue sheds
-//!   requests with 503.
+//!   construction exactly like training does (the `GraphBatch` engine,
+//!   including the model's node budget). A full queue sheds requests with
+//!   503.
 //! * [`service`] — the sharded worker pool behind the embeddable
 //!   [`ServiceHandle`]: N thread-confined workers each rehydrate the model
 //!   from a `SavedPredictor` snapshot (the autodiff engine's thread-local
@@ -39,11 +39,11 @@
 //! * [`client`] — a minimal blocking HTTP client for the load generator,
 //!   tests and examples.
 //!
-//! Because inference is deterministic and fused inference is bit-identical
-//! to per-sample inference, **served predictions are bit-identical to a
-//! direct [`hls_gnn_core::Predictor::predict_batch`] call** on the same
-//! graphs — for any worker count, any coalescing pattern, and with the cache
-//! on or off.
+//! Because inference is deterministic and a design's fused rows do not
+//! depend on the rest of its micro-batch, **served predictions are
+//! bit-identical to a direct [`hls_gnn_core::Predictor::predict_batch`]
+//! call** on the same graphs — for any worker count, any coalescing pattern,
+//! and with the cache on or off.
 //!
 //! # In-process quick start
 //!

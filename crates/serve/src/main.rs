@@ -14,7 +14,7 @@
 //! `HLSGNN_SERVE_CACHE`, `HLSGNN_SERVE_QUEUE`, `HLSGNN_SERVE_COALESCE`,
 //! `HLSGNN_SERVE_SLOW_US` (slow-request threshold for `GET /debug/slow`),
 //! `HLSGNN_SERVE_ACCESS_LOG` (0 silences the per-request stderr access
-//! log), plus the engine-wide `HLSGNN_BATCH` / `HLSGNN_BATCH_NODES`.
+//! log).
 //! `POST /shutdown` stops the server gracefully. On panic, the in-memory
 //! flight recorder is dumped to stderr and `results/flightrec.json`.
 

@@ -8,8 +8,8 @@
 //! instead of queueing unbounded work the service cannot keep up with.
 //!
 //! The queue itself is type-generic and policy-free: the service supplies the
-//! coalescing predicate (fusion width and per-tape node budget, mirroring the
-//! training engine's `plan_chunks` greedy rule) as a closure.
+//! coalescing predicate (coalesce width and per-tape node budget, mirroring
+//! the training engine's `plan_chunks` greedy rule) as a closure.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

@@ -13,12 +13,12 @@
 //!   [`SavedPredictor`] snapshot — the autodiff tape is `Rc`-based and
 //!   `!Send`, so live models never cross threads; only the plain-data
 //!   snapshot does (the same discipline as the training runtime). Each
-//!   worker drains a micro-batch (bounded by the fusion width and the
-//!   `HLSGNN_BATCH_NODES` node budget) and runs it through
-//!   [`GnnPredictor::predict_batch_with`], so concurrent requests share one
-//!   fused autodiff tape exactly like training mini-batches do.
-//! * Because fused inference is bit-identical to per-sample inference at any
-//!   width, coalescing never changes *what* is predicted — served results
+//!   worker drains a micro-batch (bounded by the coalesce width and the
+//!   model's node budget) and runs it through [`Predictor::predict_batch`],
+//!   so concurrent requests share one fused autodiff tape exactly like
+//!   training mini-batches do; a lone request is a batch of one.
+//! * Because a design's fused rows do not depend on the rest of its batch,
+//!   coalescing never changes *what* is predicted — served results
 //!   are bit-identical to a direct `predict_batch` call on the same graphs,
 //!   no matter how requests happened to batch, which worker took them, or
 //!   whether the cache was involved.
@@ -98,7 +98,7 @@ pub struct ServeConfig {
     /// with 503. Clamped to at least 1.
     pub queue_bound: usize,
     /// Maximum requests coalesced into one fused micro-batch; 0 = the model
-    /// snapshot's training batch size (or `HLSGNN_BATCH` when set).
+    /// snapshot's training batch size.
     pub coalesce_width: usize,
     /// Artificial per-micro-batch delay, for load/shedding tests
     /// (`HLSGNN_SERVE_DELAY_MS`). Zero in production.
@@ -209,7 +209,7 @@ struct Job {
 }
 
 /// Coalesce-width buckets: exact up to 8, then coarser (widths are small
-/// integers bounded by the fusion width).
+/// integers bounded by the coalesce width).
 const WIDTH_BUCKETS: [u64; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128];
 
 /// The service's metric handles, all registered in its per-service
@@ -277,7 +277,6 @@ struct ServiceInner {
     kernel_samples: Mutex<HashMap<String, GraphSample>>,
     next_id: AtomicU64,
     reqlog: RequestLog,
-    batch: BatchConfig,
     coalesce_width: usize,
     node_budget: usize,
     workers: usize,
@@ -305,13 +304,12 @@ impl ServiceHandle {
     pub fn start(snapshot: SavedPredictor, config: &ServeConfig) -> hls_gnn_core::Result<Self> {
         // Fail fast — and give the workers the right to assume success.
         let probe = GnnPredictor::from_saved(&snapshot)?;
-        let batch = BatchConfig::from_env();
         let coalesce_width = if config.coalesce_width > 0 {
             config.coalesce_width
         } else {
-            batch.effective_width(snapshot.config.batch_size)
+            snapshot.config.batch_size.max(1)
         };
-        let node_budget = batch.node_budget(snapshot.config.hidden_dim);
+        let node_budget = BatchConfig::default().node_budget(snapshot.config.hidden_dim);
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -341,7 +339,6 @@ impl ServiceHandle {
             kernel_samples: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             reqlog,
-            batch,
             coalesce_width,
             node_budget,
             workers,
@@ -645,7 +642,7 @@ fn worker_loop(inner: &ServiceInner) {
         }
         let results = {
             let _infer_span = hls_gnn_obs::span!("serve_infer", ids = ids, width = coalesced);
-            predictor.predict_batch_with(&samples, &inner.batch)
+            predictor.predict_batch(&samples)
         };
         for (batch_index, ((id, fingerprint, enqueued, reply), result)) in
             metas.into_iter().zip(results).enumerate()

@@ -18,8 +18,6 @@
 //!   invocation counts and analytic FLOPs/bytes per op kind, with a
 //!   roofline-style arithmetic-intensity column (`tensor_profile` in the
 //!   bench crate prints the table).
-//! * [`legacy`] — the frozen pre-arena `Rc`-graph engine, kept only as the
-//!   comparison baseline for `tensor_bench`.
 //!
 //! # Example
 //!
@@ -41,7 +39,6 @@
 //! assert!((weight.value().get(0, 0) - 2.0).abs() < 0.05);
 //! ```
 
-pub mod legacy;
 pub mod matrix;
 pub mod nn;
 pub mod optim;

@@ -45,9 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Exhaustive sweep of the whole space. Candidate generations shard
     // across HLSGNN_WORKERS threads, and within each shard the fused
-    // mini-batching engine (HLSGNN_BATCH) unions several candidate graphs
-    // per forward tape; predictions are bit-identical at every worker count
-    // and fusion width.
+    // mini-batching engine unions several candidate graphs per forward
+    // tape; predictions are bit-identical at every worker count and chunk
+    // plan.
     let parallel = ParallelConfig::from_env();
     println!(
         "\nexploring `{}`: {} points over {} knobs",

@@ -11,7 +11,7 @@ use hls_gnn_core::approach::hls_baseline_mape;
 use hls_gnn_core::builder::{load_predictor, PredictorBuilder};
 use hls_gnn_core::dataset::DatasetBuilder;
 use hls_gnn_core::predictor::Predictor;
-use hls_gnn_core::runtime::{predict_batch_sharded, BatchConfig, ParallelConfig};
+use hls_gnn_core::runtime::{predict_batch_sharded, ParallelConfig};
 use hls_gnn_core::task::TargetMetric;
 use hls_gnn_core::train::TrainConfig;
 use hls_progen::synthetic::ProgramFamily;
@@ -62,21 +62,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    whole held-out set with the reloaded predictor. The batch shards
     //    across HLSGNN_WORKERS threads (each worker rehydrates its own model
     //    from the snapshot); within each shard, the fused mini-batching
-    //    engine unions several graphs per autodiff tape (HLSGNN_BATCH, with
-    //    HLSGNN_BATCH=1 the exact per-graph path). Both knobs are
-    //    result-invariant: predictions are bit-identical at every worker
-    //    count and fusion width.
+    //    engine unions up to a mini-batch of graphs per autodiff tape.
+    //    Neither changes a result: predictions are bit-identical at every
+    //    worker count and however the graphs are chunked.
     let snapshot = predictor.save_json()?;
     println!("\nserialised trained model: {} bytes of JSON", snapshot.len());
     let served = load_predictor(&snapshot)?;
     let workers = ParallelConfig::from_env();
-    let batching = BatchConfig::from_env();
     let predictions = predict_batch_sharded(&served, &split.test.samples, &workers);
     println!(
-        "batch prediction over {} held-out designs ({} worker(s), fusing up to {} graphs/tape):",
+        "batch prediction over {} held-out designs ({} worker(s), batch size {}):",
         split.test.len(),
         workers.workers(),
-        batching.effective_width(config.batch_size)
+        config.batch_size
     );
     println!("{:<14} {:>12} {:>12} {:>12}", "design", "pred LUT", "impl LUT", "HLS LUT");
     let lut = TargetMetric::Lut.index();

@@ -1,12 +1,12 @@
 //! Correctness guarantees of the fused graph mini-batching engine.
 //!
-//! * Fused forwards agree with per-graph forwards for every backbone ×
-//!   feature-mode combination (within 1e-5 relative — in practice they are
-//!   bit-identical, because member graphs keep their node order and every
-//!   whole-graph operation is segment-aware).
-//! * Training with `batch_size = 1` is bit-identical at every fusion width.
-//! * Trained predictors produce identical results through the legacy path,
-//!   the fused path, and the sharded parallel path.
+//! * Every forward is a fused forward; a graph run alone is a batch of one.
+//!   Fused rows are bit-identical to each graph run alone for every
+//!   backbone × feature-mode combination, because member graphs keep their
+//!   node order and every whole-graph operation is segment-aware.
+//! * Trained predictors produce bit-identical results at every node budget
+//!   (one graph per chunk, the default, everything in one chunk) and on the
+//!   sharded parallel path.
 //! * Degenerate inputs (empty batches, zero batch sizes, zero-node graphs)
 //!   fail loudly instead of silently corrupting results.
 
@@ -15,11 +15,10 @@ use hls_gnn_core::approach::GnnPredictor;
 use hls_gnn_core::builder::{ApproachKind, PredictorSpec};
 use hls_gnn_core::dataset::{Dataset, DatasetBuilder, GraphSample};
 use hls_gnn_core::encode::FeatureMode;
-use hls_gnn_core::metrics::TargetNormalizer;
 use hls_gnn_core::model::GraphRegressor;
 use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::runtime::{predict_batch_sharded, BatchConfig, ParallelConfig};
-use hls_gnn_core::train::{train_regressor_with, TrainConfig};
+use hls_gnn_core::train::TrainConfig;
 use hls_gnn_core::{Error, TargetMetric};
 use hls_progen::synthetic::{ProgramFamily, SyntheticConfig};
 use rand::rngs::StdRng;
@@ -34,89 +33,40 @@ fn corpus(family: ProgramFamily, count: usize, seed: u64) -> Dataset {
         .expect("dataset builds")
 }
 
-/// A fusion config that genuinely fuses the tiny test graphs (the default
-/// node budget may otherwise fall back to one graph per tape).
-fn wide_open(width: usize) -> BatchConfig {
-    BatchConfig::with_width(width).with_node_budget(1_000_000)
-}
-
-fn assert_close(fused: f64, single: f64, context: &str) {
-    let tolerance = 1e-5 * single.abs().max(1.0);
-    assert!((fused - single).abs() <= tolerance, "{context}: fused {fused} vs per-graph {single}");
-}
-
 #[test]
 fn fused_forward_matches_per_graph_forward_for_every_backbone_and_mode() {
-    let dataset = corpus(ProgramFamily::StraightLine, 6, 11);
-    let refs: Vec<&GraphSample> = dataset.samples.iter().collect();
     let config = TrainConfig::fast();
-    for kind in GnnKind::ALL {
-        for mode in [FeatureMode::Base, FeatureMode::ResourceValues, FeatureMode::ResourceTypes] {
-            let model = GraphRegressor::new(kind, mode, &config);
-            let mut rng = StdRng::seed_from_u64(0);
-            let fused = model.forward_batch(&refs, None, false, &mut rng).value();
-            assert_eq!(fused.shape(), (refs.len(), TargetMetric::COUNT));
-            for (row, sample) in refs.iter().enumerate() {
-                let single = model.forward(sample, None, false, &mut rng).value();
-                for target in 0..TargetMetric::COUNT {
-                    assert_close(
-                        f64::from(fused.get(row, target)),
-                        f64::from(single.get(0, target)),
-                        &format!("{kind:?}/{mode:?} sample {row} target {target}"),
-                    );
+    for (family, seed) in [(ProgramFamily::StraightLine, 11), (ProgramFamily::Control, 5)] {
+        let dataset = corpus(family, 6, seed);
+        let refs: Vec<&GraphSample> = dataset.samples.iter().collect();
+        for kind in GnnKind::ALL {
+            for mode in [FeatureMode::Base, FeatureMode::ResourceValues, FeatureMode::ResourceTypes]
+            {
+                let model = GraphRegressor::new(kind, mode, &config);
+                let mut rng = StdRng::seed_from_u64(0);
+                let fused = model.forward_batch(&refs, None, false, &mut rng).value();
+                assert_eq!(fused.shape(), (refs.len(), TargetMetric::COUNT));
+                for (row, sample) in refs.iter().enumerate() {
+                    let alone = model.forward_batch(&[sample], None, false, &mut rng).value();
+                    for target in 0..TargetMetric::COUNT {
+                        assert_eq!(
+                            fused.get(row, target).to_bits(),
+                            alone.get(0, target).to_bits(),
+                            "{family:?} {kind:?}/{mode:?} sample {row} target {target}: fused \
+                             {} vs alone {}",
+                            fused.get(row, target),
+                            alone.get(0, target),
+                        );
+                    }
                 }
+                gnn_tensor::tape::reset();
             }
         }
     }
 }
 
 #[test]
-fn fused_single_sample_forward_is_bit_identical_to_per_graph_forward() {
-    let dataset = corpus(ProgramFamily::Control, 4, 5);
-    let config = TrainConfig::fast();
-    for kind in GnnKind::ALL {
-        let model = GraphRegressor::new(kind, FeatureMode::Base, &config);
-        let mut rng = StdRng::seed_from_u64(0);
-        for sample in &dataset.samples {
-            let fused = model.forward_batch(&[sample], None, false, &mut rng).value();
-            let single = model.forward(sample, None, false, &mut rng).value();
-            for target in 0..TargetMetric::COUNT {
-                assert_eq!(
-                    fused.get(0, target).to_bits(),
-                    single.get(0, target).to_bits(),
-                    "{kind:?}: fused B=1 forward diverged from the per-graph forward"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batch_size_one_training_is_bit_identical_at_every_fusion_width() {
-    let dataset = corpus(ProgramFamily::StraightLine, 8, 7);
-    let mut config = TrainConfig::fast();
-    config.batch_size = 1;
-    config.epochs = 2;
-    let normalizer = TargetNormalizer::fit(&dataset).expect("normalizer fits");
-
-    let mut outputs: Vec<Vec<f32>> = Vec::new();
-    for batch_config in [BatchConfig::legacy(), wide_open(8), BatchConfig::default_fused()] {
-        let model = GraphRegressor::new(GnnKind::GraphSage, FeatureMode::Base, &config);
-        let history = train_regressor_with(&batch_config, &model, &normalizer, &dataset, &config);
-        assert_eq!(history.len(), config.epochs);
-        let mut rng = StdRng::seed_from_u64(0);
-        let output = model.forward(&dataset.samples[0], None, false, &mut rng).value();
-        outputs.push(output.data().to_vec());
-    }
-    for trained in &outputs[1..] {
-        for (a, b) in outputs[0].iter().zip(trained) {
-            assert_eq!(a.to_bits(), b.to_bits(), "batch_size = 1 must train identically");
-        }
-    }
-}
-
-#[test]
-fn trained_predictions_agree_between_legacy_fused_and_sharded_paths() {
+fn trained_predictions_agree_across_node_budgets_and_the_sharded_path() {
     let dataset = corpus(ProgramFamily::StraightLine, 14, 33);
     let split = dataset.split(0.7, 0.15, 1);
     let config = TrainConfig::fast();
@@ -125,32 +75,43 @@ fn trained_predictions_agree_between_legacy_fused_and_sharded_paths() {
         let mut predictor = GnnPredictor::new(spec, &config);
         predictor.fit(&split.train, &split.validation, &config).expect("training succeeds");
 
-        let legacy = predictor.predict_batch_with(&split.test.samples, &BatchConfig::legacy());
-        let fused = predictor.predict_batch_with(&split.test.samples, &wide_open(16));
-        let sharded = predict_batch_sharded(
-            &predictor,
-            &split.test.samples,
-            &ParallelConfig::with_workers(4),
-        );
-        assert_eq!(legacy.len(), split.test.len());
-        assert_eq!(fused.len(), split.test.len());
-        assert_eq!(sharded.len(), split.test.len());
-        for (index, (l, f)) in legacy.iter().zip(&fused).enumerate() {
-            let l = l.as_ref().expect("legacy prediction succeeds");
-            let f = f.as_ref().expect("fused prediction succeeds");
-            for target in 0..TargetMetric::COUNT {
-                assert_close(
-                    f[target],
-                    l[target],
-                    &format!("{}: sample {index} target {target}", spec.id()),
-                );
-            }
-        }
-        for (l, s) in legacy.iter().zip(&sharded) {
-            let s = s.as_ref().expect("sharded prediction succeeds");
-            let l = l.as_ref().expect("legacy prediction succeeds");
-            for target in 0..TargetMetric::COUNT {
-                assert_close(s[target], l[target], &format!("{}: sharded path", spec.id()));
+        let one_per_chunk = BatchConfig::default().with_node_budget(1);
+        let reference = predictor.predict_batch_with(&split.test.samples, &one_per_chunk);
+        let others = [
+            (
+                "default budget",
+                predictor.predict_batch_with(&split.test.samples, &BatchConfig::default()),
+            ),
+            (
+                "1e6-node budget",
+                predictor.predict_batch_with(
+                    &split.test.samples,
+                    &BatchConfig::default().with_node_budget(1_000_000),
+                ),
+            ),
+            (
+                "sharded",
+                predict_batch_sharded(
+                    &predictor,
+                    &split.test.samples,
+                    &ParallelConfig::with_workers(4),
+                ),
+            ),
+        ];
+        assert_eq!(reference.len(), split.test.len());
+        for (path, predictions) in &others {
+            assert_eq!(predictions.len(), split.test.len(), "{}: {path}", spec.id());
+            for (index, (want, got)) in reference.iter().zip(predictions).enumerate() {
+                let want = want.as_ref().expect("one-graph-per-chunk prediction succeeds");
+                let got = got.as_ref().expect("prediction succeeds");
+                for target in 0..TargetMetric::COUNT {
+                    assert_eq!(
+                        got[target].to_bits(),
+                        want[target].to_bits(),
+                        "{}: {path}: sample {index} target {target}",
+                        spec.id()
+                    );
+                }
             }
         }
     }
@@ -182,8 +143,9 @@ fn empty_batches_and_zero_batch_sizes_fail_loudly() {
 
 #[test]
 fn graph_batch_fusion_respects_plan_and_registry_wide_inference_is_consistent() {
-    // plan_chunks: deterministic, budget- and width-capped, covers all input.
-    let batch = BatchConfig::default_fused().with_node_budget(100);
+    // plan_chunks: deterministic, budget- and batch-size-capped, covers all
+    // input.
+    let batch = BatchConfig::default().with_node_budget(100);
     let sizes = [40usize, 40, 40, 120, 10, 10, 10, 10, 10];
     let plan = batch.plan_chunks(&sizes, 4, 16);
     assert_eq!(plan.iter().sum::<usize>(), sizes.len());

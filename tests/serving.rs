@@ -5,21 +5,18 @@
 //! counts 1 and 4, with the prediction cache enabled and disabled, under
 //! concurrent submission (arbitrary coalescing patterns), and over the HTTP
 //! wire format. This holds because fused multi-graph inference is
-//! bit-identical to per-sample inference (asserted exactly below), so *how*
-//! requests happen to batch can never change *what* is predicted.
+//! bit-identical to running each graph alone (asserted exactly for every
+//! backbone in tests/batching.rs), so *how* requests happen to batch can
+//! never change *what* is predicted.
 
 use std::collections::HashMap;
 
 use hls_gnn::prelude::*;
-use hls_gnn_core::encode::FeatureMode;
-use hls_gnn_core::model::GraphRegressor;
 use hls_gnn_serve::{
     sample_fingerprint, HttpClient, HttpServer, Outcome, PredictRequest, PredictResponse,
     ServeConfig, ServeError, ServiceHandle, SlowRequestsResponse, StatsResponse,
 };
 use hls_progen::synthetic::SyntheticConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn corpus(count: usize, seed: u64) -> Dataset {
     DatasetBuilder::new(ProgramFamily::StraightLine)
@@ -36,35 +33,6 @@ fn trained(spec: &str, split: &Split) -> Box<dyn Predictor> {
         .config(TrainConfig::fast())
         .train(&split.train, &split.validation)
         .expect("training succeeds")
-}
-
-/// The foundation of the serving guarantee, asserted *exactly*: fusing
-/// several graphs onto one tape produces bit-identical outputs to running
-/// each graph on its own tape. (tests/batching.rs checks the same property
-/// registry-wide with a tolerance; serving depends on exact equality, so a
-/// regression here must fail loudly.)
-#[test]
-fn fused_multigraph_inference_is_bit_identical_to_per_sample_inference() {
-    let dataset = corpus(6, 11);
-    let refs: Vec<&GraphSample> = dataset.samples.iter().collect();
-    let config = TrainConfig::fast();
-    for kind in [GnnKind::Gcn, GnnKind::Rgcn, GnnKind::GraphSage, GnnKind::Pna] {
-        for mode in [FeatureMode::Base, FeatureMode::ResourceValues, FeatureMode::ResourceTypes] {
-            let model = GraphRegressor::new(kind, mode, &config);
-            let mut rng = StdRng::seed_from_u64(0);
-            let fused = model.forward_batch(&refs, None, false, &mut rng).value();
-            for (row, sample) in refs.iter().enumerate() {
-                let single = model.forward(sample, None, false, &mut rng).value();
-                for target in 0..TargetMetric::COUNT {
-                    assert_eq!(
-                        fused.get(row, target).to_bits(),
-                        single.get(0, target).to_bits(),
-                        "{kind:?}/{mode:?}: fused row {row} target {target} is not bit-identical"
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// The acceptance scenario: for worker counts 1 and 4, cache off and on,
