@@ -5,9 +5,24 @@
 //! (`{:?}`) or as exact integers, so `f32`/`f64` model weights and `u64` seeds
 //! survive a text round trip bit-exactly. Non-finite floats serialise as
 //! `null`, mirroring the conventional JSON treatment.
+//!
+//! The reader takes untrusted input (HTTP request bodies among it), so it is
+//! bounded by construction:
+//! - decoding is linear in the input: a string is copied one run of plain
+//!   bytes at a time, up to the next `"` or `\`;
+//! - arrays and objects nest at most [`MAX_DEPTH`] levels; deeper input is
+//!   an [`Error`], not a stack overflow;
+//! - a `\u` escape takes exactly four hex digits; a UTF-16 surrogate pair
+//!   (as Python's `json.dumps` writes non-BMP characters) decodes to one
+//!   character, and a lone surrogate decodes to U+FFFD.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`from_str`] accepts. The
+/// documents the workspace writes (snapshots, graphs, catalogs, reports) are
+/// far shallower.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serialisation/deserialisation error.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +76,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// # Errors
 /// Returns [`Error`] on malformed JSON or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
     parser.skip_whitespace();
@@ -170,6 +185,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -227,12 +244,31 @@ impl Parser<'_> {
         }
     }
 
+    /// Consumes the opening bracket of an array or object one level deeper.
+    fn open(&mut self, bracket: u8) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Consumes the closing bracket of the innermost open array or object.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
     fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b']') {
-            self.pos += 1;
+            self.close();
             return Ok(Value::Array(items));
         }
         loop {
@@ -242,7 +278,7 @@ impl Parser<'_> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(Value::Array(items));
                 }
                 other => return Err(Error::new(format!("expected `,` or `]`, found {other:?}"))),
@@ -251,11 +287,11 @@ impl Parser<'_> {
     }
 
     fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut fields = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
+            self.close();
             return Ok(Value::Object(fields));
         }
         loop {
@@ -270,7 +306,7 @@ impl Parser<'_> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(Value::Object(fields));
                 }
                 other => return Err(Error::new(format!("expected `,` or `}}`, found {other:?}"))),
@@ -282,52 +318,76 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by this writer;
-                            // map lone surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(Error::new(format!("invalid escape {other:?}"))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+            // Copy the run of plain bytes up to the next `"` or `\` in one
+            // step. Both delimiters are ASCII, so the run ends on a char
+            // boundary and is valid UTF-8 on its own.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            out.push_str(
+                std::str::from_utf8(&rest[..run])
+                    .map_err(|_| Error::new("invalid UTF-8 in string"))?,
+            );
+            let delimiter = rest[run];
+            self.pos += run + 1;
+            if delimiter == b'"' {
+                return Ok(out);
+            }
+            let escape = self.peek();
+            self.pos += 1;
+            match escape {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => out.push(self.parse_unicode_escape()?),
+                other => {
+                    return Err(Error::new(format!("invalid escape {:?}", other.map(char::from))))
                 }
             }
         }
+    }
+
+    /// Decodes the code unit of a `\u` escape whose four hex digits start at
+    /// `pos`. A high surrogate directly followed by an escaped low surrogate
+    /// is one character; any other surrogate becomes U+FFFD.
+    fn parse_unicode_escape(&mut self) -> Result<char, Error> {
+        let code = self.parse_hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            let low = self.parse_hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(scalar).expect("a surrogate pair encodes a scalar"));
+            }
+            // Not a low surrogate: that escape decodes on its own.
+            self.pos = resume;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// Reads exactly four ASCII hex digits as one UTF-16 code unit.
+    fn parse_hex4(&mut self) -> Result<u32, Error> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        let mut code = 0;
+        for &digit in digits {
+            let value = char::from(digit)
+                .to_digit(16)
+                .ok_or_else(|| Error::new(format!("invalid \\u escape at byte {}", self.pos)))?;
+            code = code * 16 + value;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn parse_number(&mut self) -> Result<Value, Error> {
@@ -418,5 +478,113 @@ mod tests {
     fn non_finite_floats_write_null() {
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
         assert_eq!(from_str::<Option<f64>>("null").unwrap(), None);
+    }
+
+    #[test]
+    fn strings_mixing_runs_escapes_and_multibyte_text_round_trip() {
+        let ascii = "plain ascii run ".repeat(64);
+        let escapes = "\" \\ / \n \r \t \u{8} \u{c}";
+        let controls: String = (0u8..0x20).map(char::from).chain(['\u{7f}']).collect();
+        let multibyte = "é ß ж → € 漢字 😀 𝄞";
+        let strings = [
+            String::new(),
+            ascii.clone(),
+            escapes.to_owned(),
+            controls.clone(),
+            multibyte.to_owned(),
+            format!("{ascii}{escapes}{multibyte}{controls}{ascii}"),
+            format!("{multibyte}\"{multibyte}\\{ascii}"),
+            "\\\\\"\"".to_owned(),
+        ];
+        let document = Value::Object(
+            strings
+                .iter()
+                .enumerate()
+                .map(|(index, s)| {
+                    (
+                        s.clone(),
+                        Value::Array(vec![Value::Str(s.clone()), Value::UInt(index as u64)]),
+                    )
+                })
+                .chain([(String::new(), Value::Str(String::new()))])
+                .collect(),
+        );
+        for json in [to_string(&document).unwrap(), to_string_pretty(&document).unwrap()] {
+            assert_eq!(from_str::<Value>(&json).unwrap(), document, "{json}");
+        }
+        for s in &strings {
+            assert_eq!(&from_str::<String>(&to_string(s).unwrap()).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn a_megabyte_string_decodes_in_linear_time() {
+        // A decoder that rescans the rest of the input per character needs
+        // about a minute here even optimised; a linear one needs
+        // milliseconds, even unoptimised.
+        let text = "ab\\\"cd é ".repeat(100_000);
+        let json = to_string(&text).unwrap();
+        assert!(json.len() > 1_000_000);
+        let start = std::time::Instant::now();
+        let back: String = from_str(&json).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(back, text);
+        assert!(elapsed.as_secs_f64() < 2.0, "decoding 1 MB took {elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit_and_rejected_past_it() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        let mixed = |depth: usize| {
+            let open: String =
+                (0..depth).map(|level| if level % 2 == 0 { "[" } else { "{\"k\":" }).collect();
+            let close: String =
+                (0..depth).rev().map(|level| if level % 2 == 0 { "]" } else { "}" }).collect();
+            format!("{open}0{close}")
+        };
+        for document in [arrays, objects, mixed] {
+            assert!(from_str::<Value>(&document(MAX_DEPTH)).is_ok());
+            let error = from_str::<Value>(&document(MAX_DEPTH + 1)).unwrap_err();
+            assert!(error.to_string().contains("nesting deeper than 128"), "{error}");
+        }
+        // Siblings do not add depth: the limit is on nesting, not on count.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 4].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
+        // A bomb far past the limit is an error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(20_000)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            from_str::<String>(r#""\u0041\u00e9\u00E9\u20ac""#).unwrap(),
+            "A\u{e9}\u{e9}\u{20ac}"
+        );
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u00G1""#, r#""\u004""#] {
+            assert!(from_str::<String>(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        // Python's `json.dumps("😀 𝄞")` with the default `ensure_ascii=True`.
+        let python = r#""\ud83d\ude00 \ud834\udd1e""#;
+        assert_eq!(from_str::<String>(python).unwrap(), "😀 𝄞");
+        assert_eq!(from_str::<String>(r#""\udbff\udfff""#).unwrap(), "\u{10ffff}");
+    }
+
+    #[test]
+    fn lone_surrogates_decode_to_the_replacement_character() {
+        for (json, expected) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+        ] {
+            assert_eq!(from_str::<String>(json).unwrap(), expected, "{json}");
+        }
     }
 }

@@ -524,3 +524,42 @@ fn http_frontend_serves_bit_identical_predictions_and_typed_errors() {
     server.wait();
     service.shutdown();
 }
+
+/// Hostile bodies well under the 8 MB body cap: a 20 KB nesting bomb (which
+/// overflows a handler thread's stack in a recursive decoder without a depth
+/// bound, aborting the process) and a ~4 MB string (which pins a handler
+/// thread for minutes in a decoder that is quadratic in the body) each get a
+/// prompt 400, and the same server keeps answering.
+#[test]
+fn hostile_bodies_get_a_prompt_400_and_the_server_keeps_serving() {
+    let dataset = corpus(6, 41);
+    let split = dataset.split(0.7, 0.15, 1);
+    let predictor = trained("base/gcn", &split);
+    let config = ServeConfig { workers: 1, access_log: false, ..ServeConfig::default() };
+    let service =
+        ServiceHandle::start(predictor.snapshot().expect("snapshot"), &config).expect("starts");
+    let server = HttpServer::bind(service.clone(), "127.0.0.1:0").expect("binds");
+    let mut client = HttpClient::new(server.local_addr());
+
+    let nesting_bomb = "[".repeat(20 * 1024);
+    let long_name = format!("{{\"kernel\": \"{}\"}}", "a".repeat(4 * 1024 * 1024));
+    for (what, body) in [("nesting bomb", &nesting_bomb), ("4 MB kernel name", &long_name)] {
+        let start = std::time::Instant::now();
+        let reply = client.post("/predict", body).expect("the server answers");
+        let elapsed = start.elapsed();
+        let excerpt: String = reply.body.chars().take(200).collect();
+        assert_eq!(reply.status, 400, "{what}: {excerpt}");
+        // Generous for an unoptimised build on a loaded host.
+        assert!(elapsed.as_secs_f64() < 10.0, "{what} took {elapsed:?} to answer");
+    }
+
+    let health = client.get("/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
+    let body = serde_json::to_string(&PredictRequest::for_sample(&split.test.samples[0]))
+        .expect("request");
+    let reply = client.post("/predict", &body).expect("predict");
+    assert_eq!(reply.status, 200, "body: {}", reply.body);
+
+    server.shutdown();
+    service.shutdown();
+}
