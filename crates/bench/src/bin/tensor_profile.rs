@@ -13,8 +13,8 @@
 //!   invocation count, analytic FLOPs/bytes, and the roofline-style
 //!   arithmetic-intensity column — plus the off-tape Fetch/Optimizer phases
 //!   must attribute ≥ 90% of the `train_step` stage-histogram wall time;
-//!   what the tape doesn't see (batch assembly in the `Var` layer, gradient
-//!   zeroing, the backward order walk) is reported as the unattributed rest.
+//!   what the tape doesn't see (the `Var` layer's argument checks and index
+//!   copies, dropout mask draws) is reported as the unattributed rest.
 //! * **Cost**: interleaved profiler-off/profiler-on pairs of the same run
 //!   (span instrumentation on in both arms — the production configuration).
 //!   The median per-pair relative delta must stay under 2%, mirroring

@@ -783,8 +783,8 @@ pub struct ParityReport {
 /// per-target MAPE of each. The protocol is deliberately frozen: any change
 /// to the autodiff engine, the kernels or the training loop that alters
 /// floating-point results shows up as a diff against the checked-in baseline
-/// (`results/parity_baseline.json`, regenerated by the `parity_baseline`
-/// bench binary).
+/// (`results/parity_baseline.json`, written by the `parity_baseline` bench
+/// binary when a numerical change is intentional).
 ///
 /// The combos run on the given worker configuration; results are
 /// bit-identical for any worker count (each job's RNG state derives purely
@@ -834,13 +834,15 @@ mod tests {
     use super::*;
 
     /// The engine-parity gate: recomputes the frozen protocol on this build
-    /// and compares against the checked-in pre-refactor baseline
-    /// (`results/parity_baseline.json`, generated by the old `Rc`-graph
-    /// engine). Tolerance is 1e-9 MAPE points — the arena tape replays the
-    /// old engine's traversal and accumulation order, so the two engines are
-    /// currently bit-identical and the slack only exists to absorb a future
-    /// *documented* benign change (regenerate the baseline and say so in the
-    /// commit if a numerical change is intentional).
+    /// and compares against the checked-in baseline
+    /// (`results/parity_baseline.json`, generated by the `parity_baseline`
+    /// bin). The baseline pins the numerics of the arena tape's single-sweep
+    /// backward pass (adjoints accumulated in descending record order,
+    /// straight into their destinations), the fused chunk plan at node
+    /// budget 128 and the shared training loop. Tolerance is 1e-9 MAPE
+    /// points — the slack only exists to absorb a future *documented* benign
+    /// change (regenerate the baseline and say so in the commit if a
+    /// numerical change is intentional).
     ///
     /// The same run also pins worker-count determinism: the report must be
     /// exactly equal at `HLSGNN_WORKERS`-equivalent configs 1 and 4.

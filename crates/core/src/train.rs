@@ -1,10 +1,10 @@
-//! Shared training loops for the graph-level regressor and the node-level
+//! The training loop shared by the graph-level regressor and the node-level
 //! classifier, plus the hyper-parameter configuration.
 
 use std::borrow::Cow;
 
 use gnn::Pooling;
-use gnn_tensor::{clip_grad_norm, Adam, Matrix};
+use gnn_tensor::{clip_grad_norm, Adam, Matrix, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -167,8 +167,8 @@ pub fn train_regressor_source(
     train_regressor_source_with(&BatchConfig::default(), model, normalizer, train, config)
 }
 
-/// [`train_regressor_source`] with an explicit chunk plan. This is *the*
-/// regressor training loop — the `Dataset` entry points call it through the
+/// [`train_regressor_source`] with an explicit chunk plan. Every regressor
+/// entry point ends here — the `Dataset` entry points call it through the
 /// borrowing [`SampleSource`] impl, so the streamed and in-RAM paths cannot
 /// drift apart. Each shuffled mini-batch is fetched up front (borrowed
 /// zero-copy from a `Dataset`, decoded on demand from an on-disk store) and
@@ -194,10 +194,48 @@ pub fn train_regressor_source_with(
     train: &(impl SampleSource + ?Sized),
     config: &TrainConfig,
 ) -> crate::Result<LossHistory> {
+    let seed = config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(17);
+    train_loop(model.parameters(), train, config, seed, |batch, rng, epoch_loss| {
+        let sizes: Vec<usize> = batch.iter().map(|s| s.num_nodes()).collect();
+        let mut start = 0;
+        for length in batch_config.plan_chunks(&sizes, config.batch_size, config.hidden_dim) {
+            let samples = &batch[start..start + length];
+            start += length;
+            let assemble_timer =
+                gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
+            let normalized: Vec<[f32; TargetMetric::COUNT]> =
+                samples.iter().map(|s| normalizer.normalize(&s.targets)).collect();
+            let targets =
+                Matrix::from_fn(length, TargetMetric::COUNT, |row, col| normalized[row][col]);
+            drop(assemble_timer);
+            let prediction = model.forward_batch(samples, None, true, rng);
+            let chunk_loss = prediction.mse(&targets);
+            *epoch_loss += f64::from(chunk_loss.scalar_value()) * length as f64;
+            chunk_loss.scale(length as f32 / batch.len() as f32).backward();
+        }
+    })
+}
+
+/// The one training loop behind both models. It owns the scaffold: epochs,
+/// the seeded shuffle, the mini-batch fetch (the only window of samples
+/// alive at once), gradient zeroing, clipping, the Adam update, the tape
+/// reset, the train counters and spans, and the profiler's phase timers.
+/// `batch_step` runs one mini-batch's forward and backward passes and adds
+/// each loss term it computes, weighted by its share of the mini-batch's
+/// graphs, to the epoch's loss sum.
+///
+/// # Panics
+/// Panics if `config.batch_size` is zero.
+fn train_loop<S: SampleSource + ?Sized>(
+    params: Vec<Var>,
+    train: &S,
+    config: &TrainConfig,
+    seed: u64,
+    mut batch_step: impl FnMut(&[&GraphSample], &mut StdRng, &mut f64),
+) -> crate::Result<LossHistory> {
     assert!(config.batch_size > 0, "TrainConfig::batch_size must be at least 1 (see validate())");
-    let params = model.parameters();
     let mut adam = Adam::new(params.clone(), config.learning_rate);
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(17));
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut history = Vec::with_capacity(config.epochs);
     let epochs_total = hls_gnn_obs::global().counter("hlsgnn_train_epochs_total", &[]);
     let steps_total = hls_gnn_obs::global().counter("hlsgnn_train_steps_total", &[]);
@@ -211,34 +249,17 @@ pub fn train_regressor_source_with(
         for batch in order.chunks(config.batch_size) {
             let _step_span = hls_gnn_obs::span!("train_step");
             steps_total.inc();
-            // The only window of samples alive at once: one mini-batch.
             let fetch_timer = gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Fetch);
             let fetched: Vec<Cow<'_, GraphSample>> =
                 batch.iter().map(|&index| train.fetch(index)).collect::<crate::Result<_>>()?;
+            let samples: Vec<&GraphSample> = fetched.iter().map(Cow::as_ref).collect();
             drop(fetch_timer);
             {
                 let _zero_timer =
                     gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Optimizer);
                 adam.zero_grad();
             }
-            let sizes: Vec<usize> = fetched.iter().map(|s| s.num_nodes()).collect();
-            let mut start = 0;
-            for length in batch_config.plan_chunks(&sizes, config.batch_size, config.hidden_dim) {
-                let chunk = &fetched[start..start + length];
-                start += length;
-                let assemble_timer =
-                    gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Assemble);
-                let samples: Vec<&GraphSample> = chunk.iter().map(Cow::as_ref).collect();
-                let normalized: Vec<[f32; TargetMetric::COUNT]> =
-                    samples.iter().map(|s| normalizer.normalize(&s.targets)).collect();
-                let targets =
-                    Matrix::from_fn(length, TargetMetric::COUNT, |row, col| normalized[row][col]);
-                drop(assemble_timer);
-                let prediction = model.forward_batch(&samples, None, true, &mut rng);
-                let chunk_loss = prediction.mse(&targets);
-                epoch_loss += f64::from(chunk_loss.scalar_value()) * length as f64;
-                chunk_loss.scale(length as f32 / batch.len() as f32).backward();
-            }
+            batch_step(&samples, &mut rng, &mut epoch_loss);
             let optim_timer =
                 gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Optimizer);
             clip_grad_norm(&params, config.grad_clip);
@@ -336,55 +357,21 @@ pub fn train_node_classifier_source(
     train: &(impl SampleSource + ?Sized),
     config: &TrainConfig,
 ) -> crate::Result<LossHistory> {
-    assert!(config.batch_size > 0, "TrainConfig::batch_size must be at least 1 (see validate())");
-    let params = model.parameters();
-    let mut adam = Adam::new(params.clone(), config.learning_rate);
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_mul(0x517c_c1b7).wrapping_add(3));
-    let mut history = Vec::with_capacity(config.epochs);
-    let epochs_total = hls_gnn_obs::global().counter("hlsgnn_train_epochs_total", &[]);
-    let steps_total = hls_gnn_obs::global().counter("hlsgnn_train_steps_total", &[]);
-
-    for _ in 0..config.epochs {
-        let _epoch_span = hls_gnn_obs::span!("train_epoch");
-        epochs_total.inc();
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        for batch in order.chunks(config.batch_size) {
-            let _step_span = hls_gnn_obs::span!("train_step");
-            steps_total.inc();
-            let fetch_timer = gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Fetch);
-            let fetched: Vec<Cow<'_, GraphSample>> =
-                batch.iter().map(|&index| train.fetch(index)).collect::<crate::Result<_>>()?;
-            drop(fetch_timer);
-            {
-                let _zero_timer =
-                    gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Optimizer);
-                adam.zero_grad();
-            }
-            for sample in &fetched {
-                let sample: &GraphSample = sample;
-                let labels =
-                    Matrix::from_fn(sample.num_nodes(), ResourceClass::COUNT, |node, class| {
-                        sample.node_resource_types[node][class]
-                    });
-                // One graph per tape: the loss is weighted per graph, not
-                // per node.
-                let logits = model.forward(&[sample], true, &mut rng);
-                let loss = logits.bce_with_logits(&labels).scale(1.0 / batch.len() as f32);
-                epoch_loss += f64::from(loss.scalar_value()) * batch.len() as f64;
-                loss.backward();
-            }
-            let optim_timer =
-                gnn_tensor::profile::phase_timer(gnn_tensor::profile::Phase::Optimizer);
-            clip_grad_norm(&params, config.grad_clip);
-            adam.step();
-            gnn_tensor::tape::reset();
-            drop(optim_timer);
+    let seed = config.seed.wrapping_mul(0x517c_c1b7).wrapping_add(3);
+    train_loop(model.parameters(), train, config, seed, |batch, rng, epoch_loss| {
+        for &sample in batch {
+            let labels =
+                Matrix::from_fn(sample.num_nodes(), ResourceClass::COUNT, |node, class| {
+                    sample.node_resource_types[node][class]
+                });
+            // One graph per tape: the loss is weighted per graph, not
+            // per node.
+            let logits = model.forward(&[sample], true, rng);
+            let loss = logits.bce_with_logits(&labels).scale(1.0 / batch.len() as f32);
+            *epoch_loss += f64::from(loss.scalar_value()) * batch.len() as f64;
+            loss.backward();
         }
-        history.push(epoch_loss / train.len().max(1) as f64);
-    }
-    Ok(history)
+    })
 }
 
 /// Per-class accuracy of a node classifier over a dataset (micro-averaged over

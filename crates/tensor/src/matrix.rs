@@ -122,8 +122,7 @@ impl Matrix {
     /// Matrix product `self × other`.
     ///
     /// Dense, branch-free kernel: cache-blocked over the inner dimension with
-    /// an autovectorizable axpy inner loop. For matrices whose *left* operand
-    /// is mostly zeros (e.g. one-hot encodings) see [`Matrix::matmul_sparse_lhs`].
+    /// an autovectorizable axpy inner loop.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match.
@@ -135,86 +134,6 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
         kernels::matmul(&mut out.data, &self.data, &other.data, self.rows, self.cols, other.cols);
-        out
-    }
-
-    /// Matrix product `self × other` with a zero-skip fast path over the
-    /// entries of `self`.
-    ///
-    /// This is the caller-chosen sparse entry point: when the left operand is
-    /// mostly zeros (one-hot rows, masks) skipping zero entries beats the dense
-    /// kernel because each skipped entry avoids a full row-length axpy. On
-    /// dense inputs the per-element branch defeats autovectorization — use
-    /// [`Matrix::matmul`] there.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions do not match.
-    pub fn matmul_sparse_lhs(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: ({}x{}) x ({}x{})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let other_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, b) in out_row.iter_mut().zip(other_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Fused product `self × otherᵀ` without materializing the transpose.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_b shape mismatch: ({}x{}) x ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let mut scratch = Vec::new();
-        kernels::matmul_transpose_b(
-            &mut out.data,
-            &self.data,
-            &other.data,
-            self.rows,
-            self.cols,
-            other.rows,
-            &mut scratch,
-        );
-        out
-    }
-
-    /// Fused product `selfᵀ × other` without materializing the transpose.
-    ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_transpose_a shape mismatch: ({}x{})ᵀ x ({}x{})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        kernels::matmul_transpose_a(
-            &mut out.data,
-            &self.data,
-            &other.data,
-            self.rows,
-            self.cols,
-            other.cols,
-        );
         out
     }
 
@@ -275,20 +194,6 @@ impl Matrix {
         }
     }
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty matrix).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Column-wise sums as a `1 × cols` matrix.
     pub fn sum_axis0(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
@@ -298,44 +203,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Horizontally concatenates matrices with the same number of rows.
-    ///
-    /// # Panics
-    /// Panics if the matrices disagree on the row count or the list is empty.
-    pub fn concat_cols(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "concat_cols needs at least one matrix");
-        let rows = parts[0].rows;
-        assert!(parts.iter().all(|m| m.rows == rows), "concat_cols row mismatch");
-        let total_cols: usize = parts.iter().map(|m| m.cols).sum();
-        let mut out = Matrix::zeros(rows, total_cols);
-        for r in 0..rows {
-            let mut offset = 0;
-            for part in parts {
-                out.data[r * total_cols + offset..r * total_cols + offset + part.cols]
-                    .copy_from_slice(part.row(r));
-                offset += part.cols;
-            }
-        }
-        out
-    }
-
-    /// Vertically concatenates matrices with the same number of columns.
-    ///
-    /// # Panics
-    /// Panics if the matrices disagree on the column count or the list is
-    /// empty.
-    pub fn concat_rows(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "concat_rows needs at least one matrix");
-        let cols = parts[0].cols;
-        assert!(parts.iter().all(|m| m.cols == cols), "concat_rows column mismatch");
-        let total_rows: usize = parts.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(total_rows * cols);
-        for part in parts {
-            data.extend_from_slice(&part.data);
-        }
-        Matrix { rows: total_rows, cols, data }
     }
 
     /// Selects rows by index (rows may repeat).
@@ -368,11 +235,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// True if any element is NaN or infinite.
@@ -465,9 +327,8 @@ pub(crate) mod kernels {
     /// row-dot is ~3× slower here because a sequential float reduction cannot
     /// vectorize without reassociation, while the axpy inner loop does.
     ///
-    /// Each `out` element still accumulates in ascending-`n` order, so when
-    /// `out` starts zeroed the result is bit-identical to folding a local dot
-    /// product and adding it once.
+    /// Each `out` element accumulates its `n` terms in ascending-`n` order
+    /// onto whatever `out` already holds.
     pub fn matmul_transpose_b(
         out: &mut [f32],
         g: &[f32],
@@ -487,10 +348,9 @@ pub(crate) mod kernels {
     }
 
     /// `out (k×n) += aᵀ × g` where `a` is `m×k` and `g` is `m×n`, without
-    /// materializing the transpose. Axpy formulation with `m` scattered adds
-    /// per output element; when bit-exact accumulation order against a
-    /// materialize-then-add baseline matters, target a zeroed scratch and add
-    /// it onto the destination afterwards.
+    /// materializing the transpose. Axpy formulation: each `out` element
+    /// accumulates its `m` terms in ascending-`m` order onto whatever `out`
+    /// already holds.
     pub fn matmul_transpose_a(out: &mut [f32], a: &[f32], g: &[f32], m: usize, k: usize, n: usize) {
         debug_assert_eq!(out.len(), k * n);
         debug_assert_eq!(a.len(), m * k);
@@ -556,29 +416,27 @@ mod tests {
     }
 
     #[test]
-    fn sparse_lhs_matmul_matches_dense_kernel() {
-        // Odd sizes exercise the partial-block tail of the dense kernel; the
-        // zero rows exercise the sparse skip.
-        let a = Matrix::from_fn(5, 131, |r, c| {
-            if r % 2 == 0 {
-                0.0
-            } else {
-                ((r * 131 + c) % 17) as f32 - 8.0
-            }
-        });
-        let b = Matrix::from_fn(131, 7, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
-        assert_eq!(a.matmul_sparse_lhs(&b).data(), a.matmul(&b).data());
-    }
-
-    #[test]
     fn fused_transpose_products_match_materialized_transpose() {
         let a = Matrix::from_fn(9, 70, |r, c| ((r * 70 + c) % 11) as f32 * 0.25 - 1.0);
         let b = Matrix::from_fn(9, 70, |r, c| ((r * 70 + c) % 7) as f32 * 0.5 - 1.5);
         let g = Matrix::from_fn(9, 5, |r, c| ((r * 5 + c) % 5) as f32 - 2.0);
-        // self × otherᵀ : (9×70) × (9×70)ᵀ = 9×9.
-        assert_eq!(a.matmul_transpose_b(&b).data(), a.matmul(&b.transpose()).data());
-        // selfᵀ × other : (9×70)ᵀ × (9×5) = 70×5.
-        assert_eq!(a.matmul_transpose_a(&g).data(), a.transpose().matmul(&g).data());
+        // The tape accumulates adjoints into live gradient regions, so both
+        // kernels start from a non-zero destination and must add onto it
+        // exactly like the dense kernel does.
+        let start = |rows, cols| Matrix::from_fn(rows, cols, |r, c| ((r + 2 * c) % 3) as f32 - 1.0);
+        // a × bᵀ : (9×70) × (9×70)ᵀ = 9×9.
+        let mut fused = start(9, 9);
+        let mut scratch = Vec::new();
+        kernels::matmul_transpose_b(fused.data_mut(), a.data(), b.data(), 9, 70, 9, &mut scratch);
+        let mut reference = start(9, 9);
+        kernels::matmul(reference.data_mut(), a.data(), b.transpose().data(), 9, 70, 9);
+        assert_eq!(fused, reference);
+        // aᵀ × g : (9×70)ᵀ × (9×5) = 70×5.
+        let mut fused = start(70, 5);
+        kernels::matmul_transpose_a(fused.data_mut(), a.data(), g.data(), 9, 70, 5);
+        let mut reference = start(70, 5);
+        kernels::matmul(reference.data_mut(), a.transpose().data(), g.data(), 70, 9, 5);
+        assert_eq!(fused, reference);
     }
 
     #[test]
@@ -606,21 +464,7 @@ mod tests {
     #[test]
     fn reductions() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.sum(), 10.0);
-        assert_eq!(a.mean(), 2.5);
         assert_eq!(a.sum_axis0().data(), &[4.0, 6.0]);
-        assert!((a.norm() - 30.0f32.sqrt()).abs() < 1e-6);
-        assert_eq!(Matrix::zeros(0, 0).mean(), 0.0);
-    }
-
-    #[test]
-    fn concat_cols_joins_horizontally() {
-        let a = Matrix::from_vec(2, 1, vec![1.0, 2.0]);
-        let b = Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]);
-        let joined = Matrix::concat_cols(&[&a, &b]);
-        assert_eq!(joined.shape(), (2, 3));
-        assert_eq!(joined.row(0), &[1.0, 3.0, 4.0]);
-        assert_eq!(joined.row(1), &[2.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -149,8 +149,8 @@ pub enum Phase {
     /// Tape-free input assembly: batch fusing, feature/index/target
     /// marshalling, per-edge normalisation tables.
     Assemble,
-    /// Backward-pass setup inside the tape: the reverse-order walk and
-    /// gradient-region zeroing that precede the op replay.
+    /// Backward-pass setup inside the tape: growing the gradient and stamp
+    /// buffers and seeding the root before the op replay.
     BackwardSetup,
     /// Gradient zero/clip + optimiser update + tape reset.
     Optimizer,

@@ -12,8 +12,7 @@
 //! are *not* tape nodes: they live in [`ParamCell`]s owned by their `Var`
 //! handles, so they survive [`reset`] and free when the model drops. Their
 //! accumulated gradients also live in the cell, which is what lets gradients
-//! accumulate across multiple backward passes exactly like the previous
-//! engine.
+//! accumulate across multiple backward passes.
 //!
 //! # Lifecycle
 //!
@@ -23,18 +22,23 @@
 //! stale; using one panics with "stale Var handle". Forgetting a reset is a
 //! bounded memory leak within the thread, never unsoundness.
 //!
+//! # Backward
+//!
+//! Records are appended in topological order (an op's operands are always
+//! earlier records), so one downward sweep over record indices replays every
+//! consumer before its operands. [`Tape::backward`] stamps the root and walks
+//! down from it, replaying only stamped records and stopping once none is
+//! left. An operand's first write in a pass stamps it and zeroes its
+//! gradient region; later writes accumulate (`+=`) straight into it. Nothing
+//! zero-fills the whole gradient buffer: [`reset`] bumps the stamp instead of
+//! clearing gradients, so a node's gradient is readable only for the latest
+//! backward pass that reached it.
+//!
 //! # Determinism
 //!
-//! The backward pass replays the exact traversal of the previous
-//! reference-counted engine: a depth-first post-order over the node graph
-//! (children in parent-list order), iterated in reverse, with per-parent
-//! contributions accumulated in parent-list order. Single-consumer
-//! contributions add directly into the destination region; multi-term
-//! contributions (dense matmul's right-operand gradient, gather's scatter
-//! adjoint) materialize into a reusable scratch buffer first and are added
-//! in one pass, preserving the old engine's floating-point accumulation
-//! order. All state is thread-local, so results are bit-identical at any
-//! worker count.
+//! A node with several consumers receives their contributions in descending
+//! record order, each op adding its operands' terms in operand order. All
+//! state is thread-local, so results are bit-identical at any worker count.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
@@ -88,8 +92,8 @@ impl Range32 {
     }
 }
 
-/// Typed op record. Operand order matches the parent-list order of the
-/// previous engine — the backward traversal depends on it.
+/// Typed op record. The backward replay adds an op's contributions to its
+/// operands in operand order.
 #[derive(Clone, Copy)]
 pub(crate) enum Op {
     Add(Src, Src),
@@ -135,52 +139,6 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// The `i`-th operand in parent-list order, if any.
-    fn nth_src(&self, srcs: &[Src], i: usize) -> Option<Src> {
-        let pair = |a: Src, b: Src, i: usize| match i {
-            0 => Some(a),
-            1 => Some(b),
-            _ => None,
-        };
-        let single = |a: Src, i: usize| (i == 0).then_some(a);
-        match *self {
-            Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::DivEps(a, b, _)
-            | Op::MulScalarVar(a, b)
-            | Op::MulColBroadcast(a, b)
-            | Op::Matmul(a, b)
-            | Op::AddRowBroadcast(a, b)
-            | Op::ScatterAddOnto(a, b, _) => pair(a, b, i),
-            Op::Scale(a, _)
-            | Op::AddScalar(a, _)
-            | Op::LeakyRelu(a, _)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::Exp(a)
-            | Op::LogEps(a, _)
-            | Op::SqrtEps(a, _)
-            | Op::Dropout(a, _)
-            | Op::Sum(a)
-            | Op::SumAxis0(a)
-            | Op::GatherRows(a, _)
-            | Op::ScatterAddRows(a, _)
-            | Op::SegmentSum(a, _)
-            | Op::SegmentExtremum { input: a, .. }
-            | Op::ScaleRows(a, _)
-            | Op::Mse(a, _)
-            | Op::BceWithLogits(a, _) => single(a, i),
-            Op::ConcatCols(r) | Op::ConcatRows(r) => {
-                if i < r.len as usize {
-                    Some(srcs[r.start as usize + i])
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     /// Profile aggregation key ([`crate::profile`]) for this record.
     fn kind(&self) -> OpKind {
         match self {
@@ -254,12 +212,12 @@ pub(crate) struct Tape {
     idx: Vec<u32>,
     aux: Vec<f32>,
     params: Vec<Rc<ParamCell>>,
+    /// Transposed right operand for the matmul adjoint.
     scratch: Vec<f32>,
-    scratch2: Vec<f32>,
-    order: Vec<u32>,
-    stack: Vec<(u32, u32)>,
-    mark: Vec<u32>,
-    mark_gen: u32,
+    /// Per-record stamp: a node's gradient region belongs to the current
+    /// backward pass exactly when its stamp equals `stamp`.
+    stamps: Vec<u32>,
+    stamp: u32,
 }
 
 thread_local! {
@@ -272,10 +230,10 @@ pub(crate) fn with<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
     TAPE.with(|tape| f(&mut tape.borrow_mut()))
 }
 
-/// Ends the current step: bumps the tape generation and clears the node,
-/// value, gradient and side arenas **retaining capacity**. Parameters keep
-/// their values and accumulated gradients; node handles recorded before the
-/// reset become stale and panic on use.
+/// Ends the current step: bumps the tape generation and the gradient stamp,
+/// and clears the node, value and side arenas **retaining capacity**.
+/// Parameters keep their values and accumulated gradients; node handles
+/// recorded before the reset become stale and panic on use.
 pub fn reset() {
     with(Tape::reset_in_place);
 }
@@ -327,30 +285,45 @@ fn src_dims(nodes: &[NodeRec], params: &[Rc<ParamCell>], src: Src) -> (usize, us
     }
 }
 
-/// Runs `f` on the gradient region of `src`: a slice of the flat gradient
-/// buffer for nodes, or the parameter cell's gradient matrix (created zeroed
-/// on first touch, matching the previous engine's `None → clone` semantics up
-/// to `0.0 + x`).
-fn with_grad_dst(
-    grads_head: &mut [f32],
-    nodes: &[NodeRec],
-    params: &[Rc<ParamCell>],
-    src: Src,
-    f: impl FnOnce(&mut [f32]),
-) {
-    match src {
-        Src::Node(i) => {
-            let rec = &nodes[i as usize];
-            f(&mut grads_head[rec.off..rec.off + rec.len()]);
-        }
-        Src::Param(p) => {
-            let cell = &params[p as usize];
-            let mut guard = cell.grad.borrow_mut();
-            if guard.is_none() {
-                let (rows, cols) = cell.value.borrow().shape();
-                *guard = Some(Matrix::zeros(rows, cols));
+/// The operand gradient regions one replayed record writes into.
+struct GradDst<'a> {
+    /// The gradient buffer below the replayed record's own region.
+    grads: &'a mut [f32],
+    stamps: &'a mut [u32],
+    stamp: u32,
+    nodes: &'a [NodeRec],
+    params: &'a [Rc<ParamCell>],
+    /// Node operands this replay stamped for the first time in the pass.
+    reached: usize,
+}
+
+impl GradDst<'_> {
+    /// Runs `f` on the gradient region of `src`, which `f` accumulates
+    /// into. A node's region is zeroed and stamped on its first write of the
+    /// pass; a parameter's gradient matrix is created zeroed on first touch
+    /// and otherwise accumulates across passes.
+    fn with(&mut self, src: Src, f: impl FnOnce(&mut [f32])) {
+        match src {
+            Src::Node(i) => {
+                let rec = &self.nodes[i as usize];
+                let region = &mut self.grads[rec.off..rec.off + rec.len()];
+                let stamp = &mut self.stamps[i as usize];
+                if *stamp != self.stamp {
+                    *stamp = self.stamp;
+                    region.fill(0.0);
+                    self.reached += 1;
+                }
+                f(region);
             }
-            f(guard.as_mut().expect("just ensured").data_mut());
+            Src::Param(p) => {
+                let cell = &self.params[p as usize];
+                let mut guard = cell.grad.borrow_mut();
+                if guard.is_none() {
+                    let (rows, cols) = cell.value.borrow().shape();
+                    *guard = Some(Matrix::zeros(rows, cols));
+                }
+                f(guard.as_mut().expect("just ensured").data_mut());
+            }
         }
     }
 }
@@ -367,11 +340,8 @@ impl Tape {
             aux: Vec::new(),
             params: Vec::new(),
             scratch: Vec::new(),
-            scratch2: Vec::new(),
-            order: Vec::new(),
-            stack: Vec::new(),
-            mark: Vec::new(),
-            mark_gen: 0,
+            stamps: Vec::new(),
+            stamp: 0,
         }
     }
 
@@ -381,9 +351,9 @@ impl Tape {
 
     fn reset_in_place(&mut self) {
         self.generation += 1;
+        self.bump_stamp();
         self.nodes.clear();
         self.vals.clear();
-        self.grads.clear();
         self.srcs.clear();
         self.idx.clear();
         self.aux.clear();
@@ -443,13 +413,13 @@ impl Tape {
         )
     }
 
-    /// Gradient of node `index` as a fresh [`Matrix`], if its region has been
-    /// materialised by a backward pass.
+    /// Gradient of node `index` as a fresh [`Matrix`], if the latest backward
+    /// pass reached the node.
     pub(crate) fn node_grad_matrix(&self, index: u32) -> Option<Matrix> {
-        let rec = &self.nodes[index as usize];
-        if self.grads.len() < rec.off + rec.len() {
+        if self.stamps.get(index as usize) != Some(&self.stamp) {
             return None;
         }
+        let rec = &self.nodes[index as usize];
         Some(Matrix::from_vec(
             rec.rows as usize,
             rec.cols as usize,
@@ -466,31 +436,6 @@ impl Tape {
             "set_value must preserve the shape of a tape node"
         );
         self.vals[rec.off..rec.off + rec.len()].copy_from_slice(value.data());
-    }
-
-    /// Zeroes the gradient region of node `index`, if materialised.
-    pub(crate) fn zero_node_grad(&mut self, index: u32) {
-        let rec = self.nodes[index as usize];
-        if self.grads.len() >= rec.off + rec.len() {
-            self.grads[rec.off..rec.off + rec.len()].fill(0.0);
-        }
-    }
-
-    /// Adds `delta` into the gradient region of node `index`.
-    pub(crate) fn accumulate_node_grad(&mut self, index: u32, delta: &Matrix) {
-        let rec = self.nodes[index as usize];
-        assert_eq!(
-            delta.shape(),
-            (rec.rows as usize, rec.cols as usize),
-            "gradient shape mismatch"
-        );
-        if self.grads.len() < self.vals.len() {
-            self.grads.resize(self.vals.len(), 0.0);
-        }
-        let dst = &mut self.grads[rec.off..rec.off + rec.len()];
-        for (slot, &d) in dst.iter_mut().zip(delta.data()) {
-            *slot += d;
-        }
     }
 
     /// Appends a node, computes its forward value, returns its index. When
@@ -780,76 +725,46 @@ impl Tape {
         }
     }
 
-    /// Depth-first post-order over the node subgraph rooted at `root`,
-    /// children visited in parent-list order — the exact traversal of the
-    /// previous engine's `topological_order`. Parameter operands are leaves
-    /// with no consumers of their own and are skipped (their emission never
-    /// affected op ordering).
-    fn compute_order(&mut self, root: u32) {
-        let Tape { nodes, srcs, order, stack, mark, mark_gen, .. } = self;
-        order.clear();
-        stack.clear();
-        if mark.len() < nodes.len() {
-            mark.resize(nodes.len(), 0);
-        }
-        *mark_gen = mark_gen.wrapping_add(1);
-        if *mark_gen == 0 {
-            mark.fill(0);
-            *mark_gen = 1;
-        }
-        let visited = *mark_gen;
-        stack.push((root, 0));
-        while let Some((node, child_index)) = stack.pop() {
-            if child_index == 0 && mark[node as usize] == visited {
-                continue;
-            }
-            match nodes[node as usize].op.nth_src(srcs, child_index as usize) {
-                Some(src) => {
-                    stack.push((node, child_index + 1));
-                    if let Src::Node(child) = src {
-                        if mark[child as usize] != visited {
-                            stack.push((child, 0));
-                        }
-                    }
-                }
-                None => {
-                    if mark[node as usize] != visited {
-                        mark[node as usize] = visited;
-                        order.push(node);
-                    }
-                }
-            }
+    /// Invalidates every node gradient: no node's stamp matches the new one.
+    fn bump_stamp(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.stamps.fill(0);
+            self.stamp = 1;
         }
     }
 
-    /// Reverse-mode differentiation from scalar node `root`. Node gradient
-    /// regions reachable from the root are zeroed first (node gradients are
-    /// per-backward temporaries); parameter gradients accumulate across
-    /// calls in their cells.
+    /// Reverse-mode differentiation from scalar node `root`: one downward
+    /// sweep over record indices that replays the records the root reaches
+    /// (see the module doc). Node gradients are per-backward temporaries;
+    /// parameter gradients accumulate across calls in their cells.
     pub(crate) fn backward(&mut self, root: u32) {
         let setup_timer = profile::phase_timer(profile::Phase::BackwardSetup);
-        self.compute_order(root);
+        self.bump_stamp();
         if self.grads.len() < self.vals.len() {
             self.grads.resize(self.vals.len(), 0.0);
         }
-        for position in 0..self.order.len() {
-            let rec = self.nodes[self.order[position] as usize];
-            self.grads[rec.off..rec.off + rec.len()].fill(0.0);
+        if self.stamps.len() < self.nodes.len() {
+            self.stamps.resize(self.nodes.len(), 0);
         }
-        let root_off = self.nodes[root as usize].off;
-        self.grads[root_off] = 1.0;
+        self.grads[self.nodes[root as usize].off] = 1.0;
+        self.stamps[root as usize] = self.stamp;
         drop(setup_timer);
-        if profile::enabled() {
-            // Timed replay: chain the clock reads (the end of one op is the
-            // start of the next) so profiling costs one read per op.
-            let mut mark = Instant::now();
-            for position in (0..self.order.len()).rev() {
-                let node = self.order[position];
-                self.backprop_node(node);
+        // Profiled replay chains the clock reads (the end of one op is the
+        // start of the next), so profiling costs one read per replayed op.
+        let mut clock = profile::enabled().then(Instant::now);
+        // Stamped records not yet replayed.
+        let mut pending = 1;
+        for node in (0..=root).rev() {
+            if self.stamps[node as usize] != self.stamp {
+                continue;
+            }
+            pending = pending + self.backprop_node(node) - 1;
+            if let Some(mark) = clock.as_mut() {
                 let now = Instant::now();
                 let elapsed_ns =
-                    u64::try_from(now.duration_since(mark).as_nanos()).unwrap_or(u64::MAX);
-                mark = now;
+                    u64::try_from(now.duration_since(*mark).as_nanos()).unwrap_or(u64::MAX);
+                *mark = now;
                 let (flops, bytes) = self.op_cost(node as usize, true);
                 profile::record_backward(
                     self.nodes[node as usize].op.kind(),
@@ -858,17 +773,16 @@ impl Tape {
                     bytes,
                 );
             }
-        } else {
-            for position in (0..self.order.len()).rev() {
-                let node = self.order[position];
-                self.backprop_node(node);
+            if pending == 0 {
+                break;
             }
         }
     }
 
-    /// Propagates node `n`'s gradient to its operands, in parent-list order.
-    fn backprop_node(&mut self, n: u32) {
-        let Tape { nodes, vals, grads, srcs, idx, aux, params, scratch, scratch2, .. } = self;
+    /// Propagates node `n`'s gradient to its operands, in operand order.
+    /// Returns how many node operands it reached first in this pass.
+    fn backprop_node(&mut self, n: u32) -> usize {
+        let Tape { nodes, vals, grads, srcs, idx, aux, params, scratch, stamps, stamp, .. } = self;
         let rec = nodes[n as usize];
         let cols = rec.cols as usize;
         let values: &[f32] = vals;
@@ -876,34 +790,30 @@ impl Tape {
         let g: &[f32] = &grads_tail[..rec.len()];
         let own = &values[rec.off..rec.off + rec.len()];
         let sv = |s: Src| src_val(values, nodes, params, s);
-        // Shorthand: run `f` on the gradient destination of operand `s`.
-        macro_rules! dst {
-            ($s:expr, $f:expr) => {
-                with_grad_dst(grads_head, nodes, params, $s, $f)
-            };
-        }
+        let mut dst =
+            GradDst { grads: grads_head, stamps, stamp: *stamp, nodes, params, reached: 0 };
         match rec.op {
             Op::Add(a, b) => {
-                dst!(a, |d| axpy(d, g, 1.0));
-                dst!(b, |d| axpy(d, g, 1.0));
+                dst.with(a, |d| axpy(d, g, 1.0));
+                dst.with(b, |d| axpy(d, g, 1.0));
             }
             Op::Sub(a, b) => {
-                dst!(a, |d| axpy(d, g, 1.0));
-                dst!(b, |d| axpy(d, g, -1.0));
+                dst.with(a, |d| axpy(d, g, 1.0));
+                dst.with(b, |d| axpy(d, g, -1.0));
             }
             Op::Mul(a, b) => {
                 let (av, bv) = (sv(a), sv(b));
-                dst!(a, |d| mul_add(d, g, bv.as_slice()));
-                dst!(b, |d| mul_add(d, g, av.as_slice()));
+                dst.with(a, |d| mul_add(d, g, bv.as_slice()));
+                dst.with(b, |d| mul_add(d, g, av.as_slice()));
             }
             Op::DivEps(a, b, eps) => {
                 let (av, bv) = (sv(a), sv(b));
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for ((slot, &gv), &y) in d.iter_mut().zip(g).zip(bv.as_slice()) {
                         *slot += gv / (y + eps);
                     }
                 });
-                dst!(b, |d| {
+                dst.with(b, |d| {
                     for (((slot, &gv), &x), &y) in
                         d.iter_mut().zip(g).zip(av.as_slice()).zip(bv.as_slice())
                     {
@@ -913,19 +823,19 @@ impl Tape {
                     }
                 });
             }
-            Op::Scale(a, factor) => dst!(a, |d| axpy(d, g, factor)),
-            Op::AddScalar(a, _) => dst!(a, |d| axpy(d, g, 1.0)),
+            Op::Scale(a, factor) => dst.with(a, |d| axpy(d, g, factor)),
+            Op::AddScalar(a, _) => dst.with(a, |d| axpy(d, g, 1.0)),
             Op::MulScalarVar(a, b) => {
                 let av = sv(a);
                 let s = sv(b).as_slice()[0];
-                dst!(a, |d| axpy(d, g, s));
+                dst.with(a, |d| axpy(d, g, s));
                 let ds: f32 = g.iter().zip(av.as_slice()).map(|(&gv, &x)| gv * x).sum();
-                dst!(b, |d| d[0] += ds);
+                dst.with(b, |d| d[0] += ds);
             }
             Op::MulColBroadcast(a, b) => {
                 let av = sv(a);
                 let col = sv(b);
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for ((drow, grow), &factor) in d
                         .chunks_exact_mut(cols.max(1))
                         .zip(g.chunks_exact(cols.max(1)))
@@ -936,7 +846,7 @@ impl Tape {
                         }
                     }
                 });
-                dst!(b, |d| {
+                dst.with(b, |d| {
                     for ((slot, grow), arow) in d
                         .iter_mut()
                         .zip(g.chunks_exact(cols.max(1)))
@@ -954,24 +864,14 @@ impl Tape {
                 let (m, k) = src_dims(nodes, params, a);
                 let n = cols;
                 let (av, bv) = (sv(a), sv(b));
-                // Both operand gradients are multi-term per element:
-                // materialize each into zeroed scratch and add it once,
-                // preserving the old engine's materialize-then-accumulate
-                // floating-point order.
-                // d_a = g × bᵀ (bᵀ goes through scratch2 inside the kernel).
-                scratch.clear();
-                scratch.resize(m * k, 0.0);
-                kernels::matmul_transpose_b(scratch, g, bv.as_slice(), m, n, k, scratch2);
-                dst!(a, |d| axpy(d, scratch, 1.0));
-                // d_b = aᵀ × g.
-                scratch.clear();
-                scratch.resize(k * n, 0.0);
-                kernels::matmul_transpose_a(scratch, av.as_slice(), g, m, k, n);
-                dst!(b, |d| axpy(d, scratch, 1.0));
+                // d_a += g × bᵀ (bᵀ goes through scratch inside the kernel).
+                dst.with(a, |d| kernels::matmul_transpose_b(d, g, bv.as_slice(), m, n, k, scratch));
+                // d_b += aᵀ × g.
+                dst.with(b, |d| kernels::matmul_transpose_a(d, av.as_slice(), g, m, k, n));
             }
             Op::AddRowBroadcast(a, b) => {
-                dst!(a, |d| axpy(d, g, 1.0));
-                dst!(b, |d| {
+                dst.with(a, |d| axpy(d, g, 1.0));
+                dst.with(b, |d| {
                     for (c, slot) in d.iter_mut().enumerate() {
                         let mut acc = 0.0f32;
                         for grow in g.chunks_exact(cols.max(1)) {
@@ -983,48 +883,48 @@ impl Tape {
             }
             Op::LeakyRelu(a, slope) => {
                 let av = sv(a);
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for ((slot, &gv), &x) in d.iter_mut().zip(g).zip(av.as_slice()) {
                         *slot += if x > 0.0 { gv } else { slope * gv };
                     }
                 });
             }
-            Op::Sigmoid(a) => dst!(a, |d| {
+            Op::Sigmoid(a) => dst.with(a, |d| {
                 for ((slot, &gv), &y) in d.iter_mut().zip(g).zip(own) {
                     *slot += gv * y * (1.0 - y);
                 }
             }),
-            Op::Tanh(a) => dst!(a, |d| {
+            Op::Tanh(a) => dst.with(a, |d| {
                 for ((slot, &gv), &y) in d.iter_mut().zip(g).zip(own) {
                     *slot += gv * (1.0 - y * y);
                 }
             }),
-            Op::Exp(a) => dst!(a, |d| mul_add(d, g, own)),
+            Op::Exp(a) => dst.with(a, |d| mul_add(d, g, own)),
             Op::LogEps(a, eps) => {
                 let av = sv(a);
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for ((slot, &gv), &x) in d.iter_mut().zip(g).zip(av.as_slice()) {
                         *slot += gv / (x + eps);
                     }
                 });
             }
-            Op::SqrtEps(a, _) => dst!(a, |d| {
+            Op::SqrtEps(a, _) => dst.with(a, |d| {
                 for ((slot, &gv), &y) in d.iter_mut().zip(g).zip(own) {
                     *slot += gv * 0.5 / y;
                 }
             }),
             Op::Dropout(a, mask) => {
-                dst!(a, |d| mul_add(d, g, &aux[mask.bounds()]));
+                dst.with(a, |d| mul_add(d, g, &aux[mask.bounds()]));
             }
             Op::Sum(a) => {
                 let seed = g[0];
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for slot in d.iter_mut() {
                         *slot += seed;
                     }
                 });
             }
-            Op::SumAxis0(a) => dst!(a, |d| {
+            Op::SumAxis0(a) => dst.with(a, |d| {
                 for drow in d.chunks_exact_mut(cols.max(1)) {
                     for (slot, &gv) in drow.iter_mut().zip(g) {
                         *slot += gv;
@@ -1035,7 +935,7 @@ impl Tape {
                 let mut col_off = 0;
                 for &part in &srcs[range.bounds()] {
                     let (_, part_cols) = src_dims(nodes, params, part);
-                    with_grad_dst(grads_head, nodes, params, part, |d| {
+                    dst.with(part, |d| {
                         for (drow, grow) in
                             d.chunks_exact_mut(part_cols.max(1)).zip(g.chunks_exact(cols.max(1)))
                         {
@@ -1052,28 +952,22 @@ impl Tape {
             Op::ConcatRows(range) => {
                 let mut read = 0;
                 for &part in &srcs[range.bounds()] {
-                    with_grad_dst(grads_head, nodes, params, part, |d| {
+                    dst.with(part, |d| {
                         axpy(d, &g[read..read + d.len()], 1.0);
                         read += d.len();
                     });
                 }
             }
-            Op::GatherRows(a, ids) => {
-                // Scatter adjoint is multi-term (duplicate indices):
-                // materialize into zeroed scratch, then add once.
-                let (source_rows, _) = src_dims(nodes, params, a);
-                scratch.clear();
-                scratch.resize(source_rows * cols, 0.0);
+            Op::GatherRows(a, ids) => dst.with(a, |d| {
                 for (grow, &id) in g.chunks_exact(cols.max(1)).zip(&idx[ids.bounds()]) {
                     let start = id as usize * cols;
-                    for (slot, &gv) in scratch[start..start + cols].iter_mut().zip(grow) {
+                    for (slot, &gv) in d[start..start + cols].iter_mut().zip(grow) {
                         *slot += gv;
                     }
                 }
-                dst!(a, |d| axpy(d, scratch, 1.0));
-            }
+            }),
             Op::ScatterAddRows(a, ids) | Op::SegmentSum(a, ids) => {
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for (drow, &id) in d.chunks_exact_mut(cols.max(1)).zip(&idx[ids.bounds()]) {
                         let start = id as usize * cols;
                         for (slot, &gv) in drow.iter_mut().zip(&g[start..start + cols]) {
@@ -1083,8 +977,8 @@ impl Tape {
                 });
             }
             Op::ScatterAddOnto(base, rows, ids) => {
-                dst!(base, |d| axpy(d, g, 1.0));
-                dst!(rows, |d| {
+                dst.with(base, |d| axpy(d, g, 1.0));
+                dst.with(rows, |d| {
                     for (drow, &id) in d.chunks_exact_mut(cols.max(1)).zip(&idx[ids.bounds()]) {
                         let start = id as usize * cols;
                         for (slot, &gv) in drow.iter_mut().zip(&g[start..start + cols]) {
@@ -1094,10 +988,7 @@ impl Tape {
                 });
             }
             Op::SegmentExtremum { input, winners, .. } => {
-                // Each winner row belongs to exactly one segment, so every
-                // destination element receives at most one term per segment
-                // scan — direct accumulation matches materialize-then-add.
-                dst!(input, |d| {
+                dst.with(input, |d| {
                     for (grow, winrow) in g
                         .chunks_exact(cols.max(1))
                         .zip(idx[winners.bounds()].chunks_exact(cols.max(1)))
@@ -1110,7 +1001,7 @@ impl Tape {
                     }
                 });
             }
-            Op::ScaleRows(a, factors) => dst!(a, |d| {
+            Op::ScaleRows(a, factors) => dst.with(a, |d| {
                 for ((drow, grow), &factor) in d
                     .chunks_exact_mut(cols.max(1))
                     .zip(g.chunks_exact(cols.max(1)))
@@ -1125,7 +1016,7 @@ impl Tape {
                 let av = sv(a);
                 let count = (target.len as usize).max(1) as f32;
                 let factor = 2.0 * g[0] / count;
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for ((slot, &x), &t) in
                         d.iter_mut().zip(av.as_slice()).zip(&aux[target.bounds()])
                     {
@@ -1137,7 +1028,7 @@ impl Tape {
                 let av = sv(a);
                 let count = (target.len as usize).max(1) as f32;
                 let seed = g[0];
-                dst!(a, |d| {
+                dst.with(a, |d| {
                     for ((slot, &x), &t) in
                         d.iter_mut().zip(av.as_slice()).zip(&aux[target.bounds()])
                     {
@@ -1147,6 +1038,7 @@ impl Tape {
                 });
             }
         }
+        dst.reached
     }
 }
 

@@ -19,8 +19,9 @@
 //! A node handle is `(generation, index, shape)` — `Clone` is a bitwise copy
 //! (parameter handles bump a reference count). Handles from before a
 //! [`crate::tape::reset`] are stale and panic on use. Node gradients are
-//! per-backward temporaries; parameter gradients accumulate across backward
-//! passes until [`Var::zero_grad`].
+//! per-backward temporaries: [`Var::grad`] on a node answers only for the
+//! latest backward pass, and only if that pass reached the node. Parameter
+//! gradients accumulate across backward passes until [`Var::zero_grad`].
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -200,7 +201,9 @@ impl Var {
         }
     }
 
-    /// A clone of the accumulated gradient, if any.
+    /// A clone of the gradient, if any: a parameter's accumulated gradient,
+    /// or a node's gradient from the latest backward pass if it reached the
+    /// node.
     pub fn grad(&self) -> Option<Matrix> {
         match &self.0 {
             Repr::Param(cell) => cell.grad.borrow().clone(),
@@ -213,27 +216,37 @@ impl Var {
         }
     }
 
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&self) {
+    /// The cell of a parameter or constant leaf.
+    ///
+    /// # Panics
+    /// Panics on a tape node, naming `method`.
+    fn leaf_cell(&self, method: &str) -> &ParamCell {
         match &self.0 {
-            Repr::Param(cell) => *cell.grad.borrow_mut() = None,
-            Repr::Node { .. } => tape::with(|t| t.zero_node_grad(self.node_index(t))),
+            Repr::Param(cell) => cell,
+            Repr::Node { .. } => panic!(
+                "{method} on a tape node: node gradients belong to one backward pass; \
+                 only parameter gradients accumulate"
+            ),
         }
     }
 
-    /// Adds `delta` into the accumulated gradient.
+    /// Clears the accumulated gradient of a parameter.
+    ///
+    /// # Panics
+    /// Panics on a tape node.
+    pub fn zero_grad(&self) {
+        *self.leaf_cell("zero_grad").grad.borrow_mut() = None;
+    }
+
+    /// Adds `delta` into the accumulated gradient of a parameter.
+    ///
+    /// # Panics
+    /// Panics on a tape node.
     pub fn accumulate_grad(&self, delta: &Matrix) {
-        match &self.0 {
-            Repr::Param(cell) => {
-                let mut slot = cell.grad.borrow_mut();
-                match slot.as_mut() {
-                    Some(grad) => grad.add_assign(delta),
-                    None => *slot = Some(delta.clone()),
-                }
-            }
-            Repr::Node { .. } => {
-                tape::with(|t| t.accumulate_node_grad(self.node_index(t), delta));
-            }
+        let mut slot = self.leaf_cell("accumulate_grad").grad.borrow_mut();
+        match slot.as_mut() {
+            Some(grad) => grad.add_assign(delta),
+            None => *slot = Some(delta.clone()),
         }
     }
 
@@ -820,11 +833,11 @@ mod tests {
 
     #[test]
     fn deep_tapes_backward_and_drop_without_overflowing_the_stack() {
-        // Regression test: a recursive DFS (or, on the old engine, a
-        // recursive `Drop`) would blow the 2 MiB default test-thread stack
-        // long before 200k nodes. The arena tape needs no teardown hack —
-        // dropping handles is trivially non-recursive — but backward still
-        // has to traverse the chain iteratively.
+        // Regression test: any recursion over the chain (a recursive graph
+        // walk in backward, or a recursive `Drop` of linked handles) would
+        // blow the 2 MiB default test-thread stack long before 200k nodes.
+        // Backward is a loop over record indices and handles are plain
+        // indices, so neither needs a stack that grows with the chain.
         let leaf = Var::parameter(Matrix::from_vec(1, 1, vec![0.5]));
         let mut node = leaf.clone();
         for _ in 0..200_000 {
@@ -973,5 +986,87 @@ mod tests {
         loss.backward();
         assert_eq!(doubled.grad().unwrap().data(), &[1.0, 1.0]);
         assert_eq!(loss.grad().unwrap().get(0, 0), 1.0);
+    }
+
+    #[test]
+    fn matmul_gradients_reach_both_node_operands_of_one_leaf() {
+        let input = Matrix::from_vec(3, 3, vec![0.5, -1.0, 0.3, 0.8, -0.2, 1.1, -0.6, 0.4, 0.9]);
+        // Both operands are tape nodes of the same leaf, and each has a
+        // second consumer recorded after the matmul, so the matmul adjoint
+        // adds onto regions that consumer already wrote.
+        let build = |x: &Var| {
+            let (left, right) = (x.tanh(), x.scale(0.5));
+            left.matmul(&right).add(&left.mul(&right)).sum()
+        };
+        check_gradients(&build, input, 1e-2);
+    }
+
+    #[test]
+    fn gather_gradients_add_onto_a_source_with_a_second_consumer() {
+        let input = Matrix::from_vec(3, 2, vec![1.0, -2.0, 0.5, 0.25, -1.5, 2.0]);
+        // The gathered node's second consumer is recorded after the gather,
+        // so its contribution is in place before the scatter adjoint runs.
+        let build = |x: &Var| {
+            let source = x.tanh();
+            let gathered = source.gather_rows(&[2, 0, 2, 1]).sigmoid().sum();
+            let other = source.scale(0.5);
+            gathered.add(&other.mul(&other).sum())
+        };
+        check_gradients(&build, input, 1e-2);
+    }
+
+    #[test]
+    fn two_backward_passes_sharing_a_subexpression_sum_their_gradients() {
+        let param = Var::parameter(Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]));
+        let doubled = param.scale(2.0);
+        doubled.sum().backward();
+        // The second pass reuses `doubled`, whose gradient region still holds
+        // the first pass's ones: it must start again from zero.
+        doubled.mul(&doubled).sum().backward();
+        // d/dp sum(2p) + d/dp sum(4p²) = 2 + 8p.
+        assert_eq!(param.grad().unwrap().data(), &[6.0, -6.0, 18.0]);
+        assert_eq!(doubled.grad().unwrap().data(), &[2.0, -4.0, 8.0]);
+    }
+
+    #[test]
+    fn records_the_loss_does_not_reach_are_not_replayed() {
+        let used = Var::parameter(Matrix::full(1, 2, 1.0));
+        let unused = Var::parameter(Matrix::full(1, 2, 7.0));
+        // Recorded below the root, but the loss does not depend on it.
+        let dead = unused.scale(3.0).sum();
+        let mut adam = crate::optim::Adam::new(vec![used.clone(), unused.clone()], 0.1);
+        used.mul(&used).sum().backward();
+        assert!(unused.grad().is_none());
+        assert!(dead.grad().is_none());
+        adam.step();
+        assert_ne!(used.value(), Matrix::full(1, 2, 1.0));
+        assert_eq!(unused.value(), Matrix::full(1, 2, 7.0));
+    }
+
+    #[test]
+    fn node_gradients_answer_only_for_the_latest_backward_that_reached_them() {
+        let x = Var::parameter(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let first = x.scale(2.0);
+        let second = x.scale(3.0);
+        first.sum().backward();
+        assert_eq!(first.grad().unwrap().data(), &[1.0, 1.0]);
+        assert!(second.grad().is_none(), "the pass did not reach this node");
+        second.sum().backward();
+        assert!(first.grad().is_none(), "the latest pass did not reach this node");
+        assert_eq!(second.grad().unwrap().data(), &[1.0, 1.0]);
+        // A node recorded after a reset reuses the regions of the nodes
+        // before it, whose gradients are still in the buffer.
+        crate::tape::reset();
+        let fresh = x.scale(4.0);
+        assert!(fresh.grad().is_none(), "no pass has reached a fresh node");
+    }
+
+    #[test]
+    #[should_panic(expected = "zero_grad on a tape node")]
+    fn node_gradients_cannot_be_cleared_or_accumulated_by_hand() {
+        let x = Var::parameter(Matrix::full(2, 2, 1.0));
+        let node = x.relu();
+        node.sum().backward();
+        node.zero_grad();
     }
 }
