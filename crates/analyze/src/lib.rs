@@ -14,8 +14,8 @@
 //!   operator latencies, recurrence-constrained minimum II from loop-carried
 //!   dependence cycles, and memory-port pressure per array. Every bound is
 //!   guaranteed to be `<=` the corresponding `hls_sim` ground truth, which
-//!   makes them safe both as GNN features (`HLSGNN_FEATURES=analytic`) and
-//!   as a design-space-exploration pre-filter.
+//!   makes them safe both as GNN features (in the analytic-feature
+//!   ablation) and as a design-space-exploration pre-filter.
 
 pub mod bounds;
 pub mod dataflow;

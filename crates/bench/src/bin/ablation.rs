@@ -1,7 +1,7 @@
 //! Runs the ablation sweep over the design choices called out in DESIGN.md:
 //! sum vs mean pooling, relational vs plain message passing, and the
 //! hierarchical (knowledge-infused) stage — plus the analytic-bound feature
-//! ablation (`HLSGNN_FEATURES=analytic`) on the same Table-2 CDFG protocol.
+//! ablation on the same Table-2 CDFG protocol.
 
 use hls_gnn_core::experiments::{run_ablation, run_analytic_ablation, ExperimentConfig};
 

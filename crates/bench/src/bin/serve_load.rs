@@ -7,16 +7,13 @@
 //! any mismatch (or unexpected status) fails the run with a non-zero exit.
 //! Two phases run by default — cache enabled, then cache disabled — and the
 //! tool reports throughput and client-observed p50/p99 latency per phase,
-//! plus the server's own `/stats`, writing `results/serve_load.json`.
+//! plus the server's `/metrics` exposition after the last phase, writing
+//! `results/serve_load.json`.
 //!
 //! `serve_load --shed` instead provokes the load-shedding path: a bound-1
 //! admission queue behind one artificially slowed worker must answer part of
 //! a concurrent burst with 503 + `Retry-After`, and every non-shed response
 //! must still be bit-identical.
-//!
-//! Knobs: `HLSGNN_SERVE_LOAD_CLIENTS` (default 4), requests per client
-//! `HLSGNN_SERVE_LOAD_REQUESTS` (default 50), corpus size
-//! `HLSGNN_SERVE_LOAD_DESIGNS` (default 12).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,14 +25,21 @@ use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::train::TrainConfig;
 use hls_gnn_serve::{
     HttpClient, HttpServer, PredictRequest, PredictResponse, ServeConfig, ServiceHandle,
-    StatsResponse,
 };
 use hls_progen::synthetic::{ProgramFamily, SyntheticConfig};
 use serde::Serialize;
 
-fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var).ok().and_then(|raw| raw.trim().parse().ok()).unwrap_or(default)
-}
+/// Synthetic designs in the served corpus.
+const DESIGNS: usize = 12;
+/// Concurrent keep-alive clients of a load phase.
+const CLIENTS: usize = 4;
+/// Requests each client of a load phase sends.
+const REQUESTS_PER_CLIENT: usize = 50;
+/// Clients of the shedding drill's burst: more than the bound-1 queue and
+/// its one slowed worker can absorb.
+const SHED_CLIENTS: usize = 8;
+/// Requests each client of the shedding drill sends.
+const SHED_REQUESTS_PER_CLIENT: usize = 25;
 
 #[derive(Debug, Serialize)]
 struct PhaseReport {
@@ -56,7 +60,8 @@ struct LoadReport {
     model: String,
     designs: usize,
     phases: Vec<PhaseReport>,
-    server_stats: StatsResponse,
+    /// The `/metrics` exposition at the end of the last phase.
+    server_metrics: String,
 }
 
 struct Expected {
@@ -160,12 +165,14 @@ fn build_corpus(designs: usize) -> Dataset {
 
 fn main() {
     let shed_mode = std::env::args().any(|arg| arg == "--shed");
-    let clients = env_usize("HLSGNN_SERVE_LOAD_CLIENTS", if shed_mode { 8 } else { 4 });
-    let per_client = env_usize("HLSGNN_SERVE_LOAD_REQUESTS", if shed_mode { 25 } else { 50 });
-    let designs = env_usize("HLSGNN_SERVE_LOAD_DESIGNS", 12);
+    let (clients, per_client) = if shed_mode {
+        (SHED_CLIENTS, SHED_REQUESTS_PER_CLIENT)
+    } else {
+        (CLIENTS, REQUESTS_PER_CLIENT)
+    };
 
-    println!("serve_load: training base/gcn (fast) on {designs} synthetic designs ...");
-    let dataset = build_corpus(designs);
+    println!("serve_load: training base/gcn (fast) on {DESIGNS} synthetic designs ...");
+    let dataset = build_corpus(DESIGNS);
     let split = dataset.split(0.8, 0.1, 42);
     let predictor = PredictorBuilder::parse("base/gcn")
         .expect("spec parses")
@@ -193,7 +200,7 @@ fn main() {
     let snapshot = predictor.snapshot().expect("snapshot exports");
 
     let mut phases = Vec::new();
-    let final_stats;
+    let server_metrics;
     let report_name;
     if shed_mode {
         // One slowed worker behind a bound-1 queue: a concurrent burst must
@@ -215,14 +222,18 @@ fn main() {
         assert!(phase.shed > 0, "the bound-1 queue must shed part of a {clients}-client burst");
         assert!(phase.ok > 0, "some requests must still be served under shedding");
         phases.push(phase);
-        final_stats = service.stats();
-        assert_eq!(final_stats.shed, phases[0].shed as u64, "server and client shed counts agree");
+        let server_shed = service
+            .registry()
+            .counter("hlsgnn_serve_shed_total", &[("model", service.model_name())])
+            .get();
+        assert_eq!(server_shed, phases[0].shed as u64, "server and client shed counts agree");
+        server_metrics = service.render_metrics();
         server.shutdown();
         service.shutdown();
         report_name = "serve_load_shed";
         println!("serve_load --shed: shedding path exercised; served responses bit-identical");
     } else {
-        let mut last_stats = None;
+        let mut last_metrics = None;
         for (label, cache_capacity) in [("cache-on", 4096), ("cache-off", 0)] {
             let config = ServeConfig { cache_capacity, ..ServeConfig::default() };
             let service = ServiceHandle::start(snapshot.clone(), &config).expect("service starts");
@@ -234,16 +245,16 @@ fn main() {
                 phase.requests, phase.throughput_rps, phase.p50_us, phase.p99_us, phase.max_us
             );
             phases.push(phase);
-            last_stats = Some(service.stats());
+            last_metrics = Some(service.render_metrics());
             server.shutdown();
             service.shutdown();
         }
-        final_stats = last_stats.expect("both phases ran");
+        server_metrics = last_metrics.expect("both phases ran");
         report_name = "serve_load";
         println!("serve_load: all responses bit-identical to direct predict_batch");
     }
 
     let report =
-        LoadReport { model: "base/gcn".to_owned(), designs, phases, server_stats: final_stats };
+        LoadReport { model: "base/gcn".to_owned(), designs: DESIGNS, phases, server_metrics };
     hls_gnn_bench::write_report(report_name, &report);
 }

@@ -160,67 +160,6 @@ fn ensure_nonempty(train: &dyn SampleSource) -> Result<()> {
     Ok(())
 }
 
-/// The seed-averaged protocol of [`seed_averaged_mape_with`] over
-/// [`SampleSource`]s: every run trains through
-/// [`Predictor::fit_source`] and scores through
-/// [`Predictor::evaluate_source`], so a sharded on-disk corpus is evaluated
-/// with per-mini-batch memory across all workers. For in-memory `Dataset`
-/// sources the reported metrics are bit-identical to
-/// [`seed_averaged_mape_with`] — training shares one code path, and
-/// evaluation chunking never changes a fused prediction.
-///
-/// Validation samples are used only to *rank* the runs (no in-tree predictor
-/// consumes them during fitting), so `fit_source` receives an empty
-/// validation dataset.
-///
-/// # Errors
-/// Propagates training/fetch errors (the lowest-seed failure); returns
-/// [`Error::Config`] when `runs` or `keep` is zero or `keep > runs`.
-#[allow(clippy::too_many_arguments)]
-pub fn seed_averaged_mape_source<A, F>(
-    parallel: &ParallelConfig,
-    make: F,
-    train: &dyn SampleSource,
-    validation: &dyn SampleSource,
-    test: &dyn SampleSource,
-    config: &TrainConfig,
-    runs: usize,
-    keep: usize,
-) -> Result<[f64; TargetMetric::COUNT]>
-where
-    A: Predictor,
-    F: Fn(u64) -> A + Sync,
-{
-    if runs == 0 || keep == 0 || keep > runs {
-        return Err(Error::Config(format!(
-            "invalid seed-averaging setup: runs = {runs}, keep = {keep}"
-        )));
-    }
-    let empty_validation = Dataset::default();
-    let mut ranked: Vec<(f64, [f64; TargetMetric::COUNT])> =
-        runtime::try_run_jobs(parallel, runs, |run| {
-            let seed = config.seed.wrapping_add(run as u64);
-            let run_config = config.clone().with_seed(seed);
-            let mut predictor = make(seed);
-            predictor.fit_source(train, &empty_validation, &run_config)?;
-            let ranking_set = if validation.is_empty() { train } else { validation };
-            let validation_mape = predictor.evaluate_source(ranking_set)?;
-            let score: f64 = validation_mape.iter().sum::<f64>() / TargetMetric::COUNT as f64;
-            Ok((score, predictor.evaluate_source(test)?))
-        })?;
-    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut averaged = [0.0f64; TargetMetric::COUNT];
-    for (_, test_mape) in ranked.iter().take(keep) {
-        for (slot, value) in averaged.iter_mut().zip(test_mape) {
-            *slot += value;
-        }
-    }
-    for slot in &mut averaged {
-        *slot /= keep as f64;
-    }
-    Ok(averaged)
-}
-
 /// The GNN-based predictor implementing all three approaches of the paper,
 /// selected by its [`PredictorSpec`].
 ///

@@ -48,7 +48,8 @@ pub struct GraphSample {
     /// port pressure]` from the static analyser (all zeros for block nodes
     /// and for samples rebuilt from the release format, which does not carry
     /// them — they are recomputable from the program). Appended to the model
-    /// input only under `HLSGNN_FEATURES=analytic`.
+    /// input only by the analytic-feature ablation
+    /// ([`crate::experiments::run_analytic_ablation`]).
     pub node_analytic: Vec<[f32; 3]>,
     /// Graph-level ground truth `[DSP, LUT, FF, CP]` after implementation.
     pub targets: [f64; 4],

@@ -46,17 +46,6 @@ impl FeatureMode {
     }
 }
 
-/// True when `HLSGNN_FEATURES` lists the `analytic` token, enabling the three
-/// static-analysis bound columns (`[chain depth, on-recurrence, port
-/// pressure]`) as extra node features. Off by default, so the encoding — and
-/// every trained artefact — is bit-identical unless explicitly opted in. The
-/// knob is read at encoder construction; keep it consistent between training
-/// a model and loading its snapshot, or the input width will not match.
-pub fn analytic_features_enabled() -> bool {
-    std::env::var("HLSGNN_FEATURES")
-        .is_ok_and(|raw| raw.split(',').any(|token| token.trim() == "analytic"))
-}
-
 /// Learned encoder from [`NodeFeatures`] (plus auxiliary channels) to the GNN
 /// input matrix.
 #[derive(Debug)]
@@ -96,7 +85,8 @@ fn node_rows(
 
 impl FeatureEncoder {
     /// Creates an encoder whose categorical embeddings all have `embed_dim`
-    /// columns.
+    /// columns, encoding the base features (plus the mode's auxiliary
+    /// channels) only.
     pub fn new(mode: FeatureMode, embed_dim: usize, rng: &mut StdRng) -> Self {
         FeatureEncoder {
             mode,
@@ -105,7 +95,7 @@ impl FeatureEncoder {
             category: Embedding::new(NodeFeatures::OPCODE_CATEGORY_VOCAB, embed_dim, rng),
             opcode: Embedding::new(NodeFeatures::OPCODE_VOCAB, embed_dim, rng),
             embed_dim,
-            analytic: analytic_features_enabled(),
+            analytic: false,
         }
     }
 
@@ -114,9 +104,11 @@ impl FeatureEncoder {
         self.mode
     }
 
-    /// Overrides the `HLSGNN_FEATURES=analytic` opt-in programmatically —
-    /// the env knob only sets the default at construction. Must be applied
-    /// before the downstream GNN stack is sized off [`Self::output_dim`].
+    /// Appends (or drops) the three static-analysis bound columns
+    /// (`[chain depth, on-recurrence, port pressure]`). Only the analytic
+    /// ablation turns them on; a snapshot does not record them, so a model
+    /// built with them cannot be reloaded. Must be applied before the
+    /// downstream GNN stack is sized off [`Self::output_dim`].
     pub fn with_analytic(mut self, enabled: bool) -> Self {
         self.analytic = enabled;
         self

@@ -8,7 +8,7 @@
 //! | Table 5 (generalisation to real applications vs HLS) | [`run_table5`] | `table5` |
 //! | §1 / Fig. 1 timeliness claim ("up to 40× faster than HLS") | [`run_speedup`] | `speedup` |
 //! | Design-choice ablations (pooling, relations, hierarchy) | [`run_ablation`] | `ablation` |
-//! | Analytic-bound feature ablation (`HLSGNN_FEATURES=analytic`) | [`run_analytic_ablation`] | `ablation` |
+//! | Analytic-bound feature ablation | [`run_analytic_ablation`] | `ablation` |
 //!
 //! Every run is parameterised by an [`ExperimentConfig`]; the scale can be
 //! selected through the `HLSGNN_SCALE` environment variable (`fast`,
@@ -704,8 +704,8 @@ pub fn run_ablation(config: &ExperimentConfig) -> Result<AblationReport> {
 
 /// Analytic-bound feature ablation on the Table-2 CDFG protocol: the same
 /// off-the-shelf backbone trained with and without the three static-analysis
-/// node features (`HLSGNN_FEATURES=analytic`: critical-path depth,
-/// on-recurrence flag, memory-port pressure).
+/// node features (critical-path depth, on-recurrence flag, memory-port
+/// pressure).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnalyticAblationReport {
     /// One row per setting (base features, base + analytic bounds).

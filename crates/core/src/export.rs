@@ -199,7 +199,8 @@ impl ExportedGraph {
             // The release format does not carry the analytic-bound features;
             // they are derived quantities, recomputable by re-running the
             // static analyser on the program. Rebuilt samples fall back to
-            // zeros (the `HLSGNN_FEATURES=analytic` columns become inert).
+            // zeros; served models never read them (only the analytic
+            // ablation does).
             node_analytic: vec![[0.0; 3]; num_nodes],
             targets: self.targets,
             hls_estimate: self.hls_estimate,

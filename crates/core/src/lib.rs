@@ -89,10 +89,7 @@ pub mod train;
 
 use std::fmt;
 
-pub use approach::{
-    hls_baseline_mape, seed_averaged_mape, seed_averaged_mape_source, seed_averaged_mape_with,
-    GnnPredictor,
-};
+pub use approach::{hls_baseline_mape, seed_averaged_mape, seed_averaged_mape_with, GnnPredictor};
 pub use builder::{
     load_predictor, load_predictor_from_reader, ApproachKind, PredictorBuilder, PredictorSpec,
 };

@@ -24,18 +24,16 @@ pub struct GraphRegressor {
 }
 
 impl GraphRegressor {
-    /// Builds a regressor for the given backbone and feature mode. The
-    /// analytic-bound feature columns follow the `HLSGNN_FEATURES=analytic`
-    /// opt-in (see [`crate::encode::analytic_features_enabled`]).
+    /// Builds a regressor for the given backbone and feature mode, without
+    /// the analytic-bound feature columns.
     pub fn new(kind: GnnKind, mode: FeatureMode, config: &TrainConfig) -> Self {
-        Self::with_analytic_features(kind, mode, config, crate::encode::analytic_features_enabled())
+        Self::with_analytic_features(kind, mode, config, false)
     }
 
     /// [`GraphRegressor::new`] with the analytic-bound feature columns
-    /// enabled or disabled programmatically instead of through the
-    /// environment — the ablation harness trains both variants side by side
-    /// in one process. Parameter initialisation draws the same RNG stream
-    /// either way; only the first GNN layer's input width differs.
+    /// enabled or disabled — the ablation harness trains both variants side
+    /// by side in one process. Parameter initialisation draws the same RNG
+    /// stream either way; only the first GNN layer's input width differs.
     pub fn with_analytic_features(
         kind: GnnKind,
         mode: FeatureMode,

@@ -9,9 +9,9 @@
 //! The implementation is a classic slab-backed LRU: a `HashMap` from key to
 //! slot index plus an intrusive doubly-linked recency list threaded through a
 //! `Vec` of slots, so `get`/`insert` are O(1) with no per-entry allocation
-//! after warm-up. Hit/miss/eviction counts go to shared [`Counter`] handles —
-//! the service registers them in its metrics registry, so `/stats` and
-//! `/metrics` read the same atomics.
+//! after warm-up. Hit/miss/eviction counts go to the [`Counter`] handles the
+//! cache is built with — the service registers them in its metrics
+//! registry, which `/metrics` renders.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,17 +23,6 @@ use crate::fingerprint::Fingerprint;
 
 /// One cached prediction: the four raw target values.
 pub type Prediction = [f64; TargetMetric::COUNT];
-
-/// A point-in-time read of the cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheCounters {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced to make room.
-    pub evictions: u64,
-}
 
 const NIL: usize = usize::MAX;
 
@@ -62,21 +51,9 @@ pub struct PredictionCache {
 }
 
 impl PredictionCache {
-    /// Creates a cache holding at most `capacity` predictions, counting into
-    /// private (unregistered) counters. Use [`PredictionCache::with_counters`]
-    /// to count straight into a metrics registry.
-    pub fn new(capacity: usize) -> Self {
-        PredictionCache::with_counters(
-            capacity,
-            Arc::new(Counter::default()),
-            Arc::new(Counter::default()),
-            Arc::new(Counter::default()),
-        )
-    }
-
-    /// Creates a cache whose hit/miss/eviction bumps go to the given counter
-    /// handles (typically registered in a [`hls_gnn_obs::Registry`], so
-    /// `/metrics` and `/stats` read the very same atomics).
+    /// Creates a cache holding at most `capacity` predictions, whose
+    /// hit/miss/eviction bumps go to the given counter handles (the service
+    /// registers them in its [`hls_gnn_obs::Registry`]).
     pub fn with_counters(
         capacity: usize,
         hits: Arc<Counter>,
@@ -108,15 +85,6 @@ impl PredictionCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// A point-in-time read of the hit/miss/eviction counters.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
     }
 
     /// Looks a prediction up, refreshing its recency on a hit.
@@ -203,19 +171,30 @@ mod tests {
         [tag, tag + 1.0, tag + 2.0, tag + 3.0]
     }
 
+    /// A cache plus its `[hits, misses, evictions]` counter handles.
+    fn counted(capacity: usize) -> (PredictionCache, [Arc<Counter>; 3]) {
+        let counters: [Arc<Counter>; 3] = Default::default();
+        let [hits, misses, evictions] = counters.clone();
+        (PredictionCache::with_counters(capacity, hits, misses, evictions), counters)
+    }
+
+    fn counts(counters: &[Arc<Counter>; 3]) -> [u64; 3] {
+        counters.each_ref().map(|counter| counter.get())
+    }
+
     #[test]
     fn get_and_insert_track_counters() {
-        let mut cache = PredictionCache::new(4);
+        let (mut cache, counters) = counted(4);
         assert_eq!(cache.get(1), None);
         cache.insert(1, value(1.0));
         assert_eq!(cache.get(1), Some(value(1.0)));
-        assert_eq!(cache.counters(), CacheCounters { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(counts(&counters), [1, 1, 0]);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn eviction_removes_the_least_recently_used() {
-        let mut cache = PredictionCache::new(2);
+        let (mut cache, counters) = counted(2);
         cache.insert(1, value(1.0));
         cache.insert(2, value(2.0));
         // Touch 1 so 2 becomes the LRU entry.
@@ -225,12 +204,12 @@ mod tests {
         assert_eq!(cache.get(2), None, "entry 2 was the LRU victim");
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
-        assert_eq!(cache.counters().evictions, 1);
+        assert_eq!(counts(&counters)[2], 1);
     }
 
     #[test]
     fn reinserting_refreshes_recency_without_growing() {
-        let mut cache = PredictionCache::new(2);
+        let (mut cache, _) = counted(2);
         cache.insert(1, value(1.0));
         cache.insert(2, value(2.0));
         cache.insert(1, value(9.0));
@@ -243,21 +222,21 @@ mod tests {
 
     #[test]
     fn capacity_one_and_long_chains_stay_consistent() {
-        let mut cache = PredictionCache::new(1);
+        let (mut cache, counters) = counted(1);
         for key in 0..100u128 {
             cache.insert(key, value(key as f64));
             assert_eq!(cache.len(), 1);
             assert_eq!(cache.get(key), Some(value(key as f64)));
         }
-        assert_eq!(cache.counters().evictions, 99);
+        assert_eq!(counts(&counters)[2], 99);
     }
 
     #[test]
     fn zero_capacity_disables_the_cache() {
-        let mut cache = PredictionCache::new(0);
+        let (mut cache, counters) = counted(0);
         cache.insert(1, value(1.0));
         assert_eq!(cache.get(1), None);
         assert_eq!(cache.len(), 0);
-        assert_eq!(cache.counters(), CacheCounters::default());
+        assert_eq!(counts(&counters), [0, 0, 0]);
     }
 }

@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn bare_lf_lines_and_connection_close_are_accepted() {
-        let raw = b"GET /stats HTTP/1.1\nConnection: close\n\n";
+        let raw = b"GET /metrics HTTP/1.1\nConnection: close\n\n";
         let request = parse(raw).unwrap().expect("one request");
         assert_eq!(request.method, "GET");
         assert!(request.wants_close());

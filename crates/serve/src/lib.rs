@@ -11,9 +11,8 @@
 //!
 //! * [`server`] — a [`std::net::TcpListener`]-based HTTP/1.1 frontend with a
 //!   hand-rolled parser ([`http`]), accepting JSON prediction requests plus
-//!   `/stats` (JSON) and `/metrics` (Prometheus-style text exposition backed
-//!   by the [`hls_gnn_obs`] registry — `/stats` reads the very same metrics,
-//!   so the two endpoints cannot disagree).
+//!   `/metrics`: the Prometheus-style text exposition of the service's
+//!   [`hls_gnn_obs`] registry, the one record of every serving count.
 //! * [`queue`] — the bounded coalescing queue: concurrent in-flight requests
 //!   are drained into one fused micro-batch, so serving amortises tape
 //!   construction exactly like training does (the `GraphBatch` engine,
@@ -29,13 +28,13 @@
 //! * [`cache`] — a bounded LRU prediction cache keyed by a canonical content
 //!   fingerprint ([`fingerprint`], re-exported from
 //!   [`hls_gnn_core::fingerprint`] — the same memoisation key the DSE
-//!   engine uses) of the request graph, with hit/miss/eviction counters in
-//!   `/stats`.
+//!   engine uses) of the request graph, counting hits, misses and
+//!   evictions into the service's registry.
 //! * [`reqlog`] — request-scoped tracing: every admitted request gets a
 //!   monotonic id (echoed in the response, the access log and trace spans),
 //!   resolves into a [`reqlog::RequestRecord`] decomposing its latency into
-//!   queue wait and service time, and lands in bounded recent/slow rings —
-//!   the slow ring is served at `GET /debug/slow`.
+//!   queue wait and service time, and lands in a bounded slow-request ring
+//!   served at `GET /debug/slow`.
 //! * [`client`] — a minimal blocking HTTP client for the load generator,
 //!   tests and examples.
 //!
@@ -85,12 +84,10 @@ pub mod reqlog;
 pub mod server;
 pub mod service;
 
-pub use cache::{CacheCounters, PredictionCache};
+pub use cache::PredictionCache;
 pub use client::{HttpClient, HttpReply};
 pub use fingerprint::{sample_fingerprint, Fingerprint};
-pub use protocol::{
-    ErrorResponse, PredictRequest, PredictResponse, SlowRequestsResponse, StatsResponse,
-};
+pub use protocol::{ErrorResponse, PredictRequest, PredictResponse, SlowRequestsResponse};
 pub use queue::{CoalescingQueue, SubmitError};
 pub use reqlog::{Outcome, RequestLog, RequestRecord};
 pub use server::HttpServer;

@@ -11,10 +11,10 @@
 //!
 //! Environment knobs: `HLSGNN_SERVE_HOST` / `HLSGNN_SERVE_PORT` (bind
 //! address, default `127.0.0.1:7878`), `HLSGNN_SERVE_WORKERS`,
-//! `HLSGNN_SERVE_CACHE`, `HLSGNN_SERVE_QUEUE`, `HLSGNN_SERVE_COALESCE`,
-//! `HLSGNN_SERVE_SLOW_US` (slow-request threshold for `GET /debug/slow`),
-//! `HLSGNN_SERVE_ACCESS_LOG` (0 silences the per-request stderr access
-//! log).
+//! `HLSGNN_SERVE_CACHE`, `HLSGNN_SERVE_QUEUE`, `HLSGNN_SERVE_SLOW_US`
+//! (slow-request threshold for `GET /debug/slow`), `HLSGNN_SERVE_ACCESS_LOG`
+//! (0 silences the per-request stderr access log). Requests are coalesced up
+//! to the snapshot's training batch size.
 //! `POST /shutdown` stops the server gracefully. On panic, the in-memory
 //! flight recorder is dumped to stderr and `results/flightrec.json`.
 
@@ -22,6 +22,7 @@ use hls_gnn_core::builder::PredictorBuilder;
 use hls_gnn_core::dataset::DatasetBuilder;
 use hls_gnn_core::persist::SavedPredictor;
 use hls_gnn_core::predictor::Predictor;
+use hls_gnn_core::runtime::BatchConfig;
 use hls_gnn_core::train::TrainConfig;
 use hls_gnn_serve::{HttpServer, ServeConfig, ServiceHandle};
 use hls_progen::synthetic::ProgramFamily;
@@ -58,11 +59,11 @@ fn main() {
             println!(
                 "usage: hls-gnn-serve <model.json|model.hgns> | --demo\n\n\
                  Serves a trained predictor snapshot (JSON or binary) over HTTP.\n\
-                 Routes: POST /predict, GET /stats, GET /metrics, GET /debug/slow,\n\
-                 GET /healthz, POST /shutdown.\n\
+                 Routes: POST /predict, GET /metrics, GET /debug/slow, GET /healthz,\n\
+                 POST /shutdown.\n\
                  Env: HLSGNN_SERVE_HOST, HLSGNN_SERVE_PORT, HLSGNN_SERVE_WORKERS,\n\
-                 HLSGNN_SERVE_CACHE, HLSGNN_SERVE_QUEUE, HLSGNN_SERVE_COALESCE,\n\
-                 HLSGNN_SERVE_SLOW_US, HLSGNN_SERVE_ACCESS_LOG."
+                 HLSGNN_SERVE_CACHE, HLSGNN_SERVE_QUEUE, HLSGNN_SERVE_SLOW_US,\n\
+                 HLSGNN_SERVE_ACCESS_LOG."
             );
             return;
         }
@@ -75,6 +76,9 @@ fn main() {
         _ => fail("usage: hls-gnn-serve <model.json|model.hgns> | --demo (see --help)"),
     };
 
+    let spec = snapshot.spec.id();
+    let coalesce_width = snapshot.config.batch_size;
+    let node_budget = BatchConfig::default().node_budget(snapshot.config.hidden_dim);
     let config = ServeConfig::from_env();
     let service = ServiceHandle::start(snapshot, &config)
         .unwrap_or_else(|error| fail(&format!("cannot start the service: {error}")));
@@ -84,23 +88,20 @@ fn main() {
     let server = HttpServer::bind(service.clone(), &format!("{host}:{port}"))
         .unwrap_or_else(|error| fail(&format!("cannot bind {host}:{port}: {error}")));
 
-    let stats = service.stats();
+    // What the service resolved from the configuration (worker count,
+    // clamped queue bound) reads from its registry, as `/metrics` does.
+    let gauge =
+        |name: &str| service.registry().gauge(name, &[("model", service.model_name())]).get();
     println!(
-        "serving {} ({}) on http://{} — workers {}, coalesce width {}, node budget {}, \
-         queue bound {}, cache {}",
-        stats.model,
-        stats.spec,
+        "serving {} ({spec}) on http://{} — workers {}, coalesce width {coalesce_width}, \
+         node budget {node_budget}, queue bound {}, cache {}",
+        service.model_name(),
         server.local_addr(),
-        stats.workers,
-        stats.coalesce_width,
-        stats.node_budget,
-        stats.queue_bound,
-        stats.cache.capacity,
+        gauge("hlsgnn_serve_workers"),
+        gauge("hlsgnn_serve_queue_bound"),
+        gauge("hlsgnn_serve_cache_capacity"),
     );
-    println!(
-        "routes: POST /predict, GET /stats, GET /metrics, GET /debug/slow, GET /healthz, \
-         POST /shutdown"
-    );
+    println!("routes: POST /predict, GET /metrics, GET /debug/slow, GET /healthz, POST /shutdown");
 
     server.wait();
     println!("shutdown requested; draining the queue ...");

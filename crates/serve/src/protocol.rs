@@ -67,73 +67,6 @@ pub struct ErrorResponse {
     pub error: String,
 }
 
-/// Cache section of [`StatsResponse`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStatsBody {
-    /// Configured capacity (0 = disabled).
-    pub capacity: usize,
-    /// Entries currently cached.
-    pub entries: usize,
-    /// Lookup hits.
-    pub hits: u64,
-    /// Lookup misses.
-    pub misses: u64,
-    /// Evictions.
-    pub evictions: u64,
-}
-
-/// Latency section of [`StatsResponse`], read from the service's
-/// `hlsgnn_serve_latency_us` registry histogram (the same series `/metrics`
-/// exposes, so the two endpoints cannot disagree). Percentiles are bucketed:
-/// each reads as the upper bound of its log-linear bucket (within ~25%),
-/// clamped to the exact observed maximum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyStatsBody {
-    /// Requests the percentiles are computed over — every request ever
-    /// served, not a sliding window.
-    pub window: usize,
-    /// Median latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-    /// Worst latency observed, microseconds.
-    pub max_us: u64,
-}
-
-/// The `/stats` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StatsResponse {
-    /// Model name in paper notation (e.g. `"RGCN-I"`).
-    pub model: String,
-    /// Canonical spec id (e.g. `"hier/rgcn"`).
-    pub spec: String,
-    /// Worker threads.
-    pub workers: usize,
-    /// Maximum requests coalesced into one micro-batch.
-    pub coalesce_width: usize,
-    /// Per-tape node budget the coalescer respects.
-    pub node_budget: usize,
-    /// Requests currently waiting in the queue.
-    pub queue_depth: usize,
-    /// Queue admission bound.
-    pub queue_bound: usize,
-    /// Total requests admitted (including cache hits, excluding shed).
-    pub requests: u64,
-    /// Requests answered successfully.
-    pub served: u64,
-    /// Requests shed with 503 at the admission bound.
-    pub shed: u64,
-    /// Requests that failed in the model.
-    pub errors: u64,
-    /// Requests at or above the slow-request threshold (lifetime count;
-    /// `GET /debug/slow` retains the most recent of them).
-    pub slow: u64,
-    /// Prediction-cache counters.
-    pub cache: CacheStatsBody,
-    /// Recent-latency summary.
-    pub latency: LatencyStatsBody,
-}
-
 /// One slow (or otherwise retained) request in the `/debug/slow` document.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlowRequestBody {

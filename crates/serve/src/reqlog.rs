@@ -1,21 +1,20 @@
 //! Request-scoped access logging: per-request records, a structured access
-//! log on stderr, and bounded in-memory rings for `/debug/slow`.
+//! log on stderr, and a bounded in-memory ring for `/debug/slow`.
 //!
 //! Every request admitted to the service gets a monotonic request id and,
 //! when it resolves, a [`RequestRecord`] capturing where its latency went:
 //! queue wait (admission to worker pick-up), service time (pick-up to
 //! reply), its position and company inside the fused micro-batch, and the
-//! outcome. Records land in two fixed-size rings — the most recent requests,
-//! and requests slower than the configured threshold — so a stuck or slow
-//! deployment can be diagnosed from `GET /debug/slow` without grepping logs.
+//! outcome. Records of requests at or above the configured threshold land in
+//! a fixed-size ring, so a stuck or slow deployment can be diagnosed from
+//! `GET /debug/slow` without grepping logs (a threshold of 0 retains every
+//! request).
 //! The stderr access log (one line per request, `key=value` fields) is on by
 //! default and switched off with `HLSGNN_SERVE_ACCESS_LOG=0`.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Requests retained in the "most recent" ring.
-pub const RECENT_CAPACITY: usize = 256;
 /// Requests retained in the slow-request ring.
 pub const SLOW_CAPACITY: usize = 64;
 
@@ -63,17 +62,13 @@ pub struct RequestRecord {
     pub latency_us: u64,
 }
 
-struct Rings {
-    recent: VecDeque<RequestRecord>,
-    slow: VecDeque<RequestRecord>,
-}
-
-/// The per-service request log: bounded rings plus the stderr access log.
+/// The per-service request log: the bounded slow ring plus the stderr
+/// access log.
 pub struct RequestLog {
     model: String,
     slow_threshold_us: u64,
     access_log: bool,
-    rings: Mutex<Rings>,
+    slow: Mutex<VecDeque<RequestRecord>>,
 }
 
 impl RequestLog {
@@ -85,10 +80,7 @@ impl RequestLog {
             model: model.into(),
             slow_threshold_us,
             access_log,
-            rings: Mutex::new(Rings {
-                recent: VecDeque::with_capacity(RECENT_CAPACITY),
-                slow: VecDeque::with_capacity(SLOW_CAPACITY),
-            }),
+            slow: Mutex::new(VecDeque::with_capacity(SLOW_CAPACITY)),
         }
     }
 
@@ -97,9 +89,9 @@ impl RequestLog {
         self.slow_threshold_us
     }
 
-    /// Records one resolved request: the recent ring always, the slow ring
-    /// when it crossed the threshold, one access-log line when logging is
-    /// on. Returns whether the request counted as slow (the caller owns the
+    /// Records one resolved request: the slow ring when it crossed the
+    /// threshold, one access-log line when logging is on. Returns whether
+    /// the request counted as slow (the caller owns the
     /// `hlsgnn_serve_slow_total` counter).
     pub fn record(&self, record: RequestRecord) -> bool {
         if self.access_log {
@@ -117,30 +109,20 @@ impl RequestLog {
             );
         }
         let slow = record.latency_us >= self.slow_threshold_us;
-        let mut rings = self.rings.lock().expect("request-log lock");
-        push_bounded(&mut rings.recent, record, RECENT_CAPACITY);
         if slow {
-            push_bounded(&mut rings.slow, record, SLOW_CAPACITY);
+            let mut ring = self.slow.lock().expect("request-log lock");
+            if ring.len() == SLOW_CAPACITY {
+                ring.pop_front();
+            }
+            ring.push_back(record);
         }
         slow
     }
 
-    /// The most recent requests, oldest first.
-    pub fn recent(&self) -> Vec<RequestRecord> {
-        self.rings.lock().expect("request-log lock").recent.iter().copied().collect()
-    }
-
     /// The retained slow requests, oldest first.
     pub fn slow(&self) -> Vec<RequestRecord> {
-        self.rings.lock().expect("request-log lock").slow.iter().copied().collect()
+        self.slow.lock().expect("request-log lock").iter().copied().collect()
     }
-}
-
-fn push_bounded(ring: &mut VecDeque<RequestRecord>, record: RequestRecord, capacity: usize) {
-    if ring.len() == capacity {
-        ring.pop_front();
-    }
-    ring.push_back(record);
 }
 
 #[cfg(test)]
@@ -160,18 +142,15 @@ mod tests {
     }
 
     #[test]
-    fn rings_are_bounded_and_keep_the_newest() {
+    fn slow_ring_is_bounded_and_keeps_the_newest() {
         let log = RequestLog::new("test", 0, false);
-        for id in 1..=(RECENT_CAPACITY as u64 + 10) {
+        for id in 1..=(SLOW_CAPACITY as u64 + 10) {
             log.record(record(id, 1));
         }
-        let recent = log.recent();
-        assert_eq!(recent.len(), RECENT_CAPACITY);
-        assert_eq!(recent.first().map(|r| r.id), Some(11));
-        assert_eq!(recent.last().map(|r| r.id), Some(RECENT_CAPACITY as u64 + 10));
         let slow = log.slow();
         assert_eq!(slow.len(), SLOW_CAPACITY);
-        assert_eq!(slow.last().map(|r| r.id), Some(RECENT_CAPACITY as u64 + 10));
+        assert_eq!(slow.first().map(|r| r.id), Some(11));
+        assert_eq!(slow.last().map(|r| r.id), Some(SLOW_CAPACITY as u64 + 10));
     }
 
     #[test]
@@ -182,7 +161,6 @@ mod tests {
         assert!(log.record(record(3, 250)));
         let slow = log.slow();
         assert_eq!(slow.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(log.recent().len(), 3);
     }
 
     #[test]

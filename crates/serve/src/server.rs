@@ -6,7 +6,6 @@
 //! | Route            | Meaning                                              |
 //! |------------------|------------------------------------------------------|
 //! | `POST /predict`   | Predict one design (graph payload or kernel name).   |
-//! | `GET /stats`      | Queue / cache / latency counters as JSON.            |
 //! | `GET /metrics`    | Prometheus-style text exposition of every metric.    |
 //! | `GET /debug/slow` | Recent requests over the slow-latency threshold.     |
 //! | `GET /healthz`    | Liveness probe.                                      |
@@ -184,10 +183,6 @@ fn route(
         ("GET", "/healthz") => {
             Reply::json(200, format!("{{\"status\":\"ok\",\"model\":{:?}}}", service.model_name()))
         }
-        ("GET", "/stats") => match serde_json::to_string_pretty(&service.stats()) {
-            Ok(body) => Reply::json(200, body),
-            Err(error) => Reply::json(500, error_body(&error.to_string())),
-        },
         ("GET", "/debug/slow") => match serde_json::to_string_pretty(&service.slow_requests()) {
             Ok(body) => Reply::json(200, body),
             Err(error) => Reply::json(500, error_body(&error.to_string())),
@@ -204,7 +199,7 @@ fn route(
             poke(addr); // unblock the accept loop so `wait` returns
             Reply::json(200, "{\"status\":\"shutting down\"}".to_owned())
         }
-        (_, "/predict" | "/shutdown" | "/stats" | "/metrics" | "/debug/slow" | "/healthz") => {
+        (_, "/predict" | "/shutdown" | "/metrics" | "/debug/slow" | "/healthz") => {
             Reply::json(405, error_body("wrong method for this route"))
         }
         (_, target) => Reply::json(404, error_body(&format!("no such route `{target}`"))),

@@ -13,10 +13,11 @@
 //!   [`SavedPredictor`] snapshot — the autodiff tape is `Rc`-based and
 //!   `!Send`, so live models never cross threads; only the plain-data
 //!   snapshot does (the same discipline as the training runtime). Each
-//!   worker drains a micro-batch (bounded by the coalesce width and the
-//!   model's node budget) and runs it through [`Predictor::predict_batch`],
-//!   so concurrent requests share one fused autodiff tape exactly like
-//!   training mini-batches do; a lone request is a batch of one.
+//!   worker drains a micro-batch (bounded by the snapshot's training batch
+//!   size and the model's node budget) and runs it through
+//!   [`Predictor::predict_batch`], so concurrent requests share one fused
+//!   autodiff tape exactly like training mini-batches do; a lone request is
+//!   a batch of one.
 //! * Because a design's fused rows do not depend on the rest of its batch,
 //!   coalescing never changes *what* is predicted — served results
 //!   are bit-identical to a direct `predict_batch` call on the same graphs,
@@ -41,9 +42,7 @@ use hls_sim::FpgaDevice;
 
 use crate::cache::PredictionCache;
 use crate::fingerprint::{sample_fingerprint, Fingerprint};
-use crate::protocol::{
-    CacheStatsBody, LatencyStatsBody, PredictRequest, SlowRequestsResponse, StatsResponse,
-};
+use crate::protocol::{PredictRequest, SlowRequestsResponse};
 use crate::queue::{CoalescingQueue, SubmitError};
 use crate::reqlog::{Outcome, RequestLog, RequestRecord};
 
@@ -86,8 +85,10 @@ impl From<hls_gnn_core::Error> for ServeError {
     }
 }
 
-/// Service configuration. Every knob also has an `HLSGNN_SERVE_*`
-/// environment variable (see [`ServeConfig::from_env`]).
+/// Service configuration. Every field but `worker_delay` also has an
+/// `HLSGNN_SERVE_*` environment variable (see [`ServeConfig::from_env`]).
+/// The coalescing width is no knob: it is the snapshot's training batch
+/// size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads; 0 = one per available hardware thread.
@@ -97,11 +98,8 @@ pub struct ServeConfig {
     /// Queue admission bound (requests waiting); beyond it requests are shed
     /// with 503. Clamped to at least 1.
     pub queue_bound: usize,
-    /// Maximum requests coalesced into one fused micro-batch; 0 = the model
-    /// snapshot's training batch size.
-    pub coalesce_width: usize,
-    /// Artificial per-micro-batch delay, for load/shedding tests
-    /// (`HLSGNN_SERVE_DELAY_MS`). Zero in production.
+    /// Artificial per-micro-batch delay, for load/shedding tests. Set only
+    /// in code, never from the environment; zero in production.
     pub worker_delay: Duration,
     /// Requests at or above this end-to-end latency (microseconds) are
     /// retained in the slow-request ring served at `GET /debug/slow` and
@@ -118,7 +116,6 @@ impl Default for ServeConfig {
             workers: 0,
             cache_capacity: 1024,
             queue_bound: 256,
-            coalesce_width: 0,
             worker_delay: Duration::ZERO,
             slow_threshold_us: 100_000,
             access_log: true,
@@ -133,10 +130,6 @@ impl ServeConfig {
     pub const CACHE_ENV_VAR: &'static str = "HLSGNN_SERVE_CACHE";
     /// Environment variable naming the queue bound.
     pub const QUEUE_ENV_VAR: &'static str = "HLSGNN_SERVE_QUEUE";
-    /// Environment variable naming the coalescing width.
-    pub const COALESCE_ENV_VAR: &'static str = "HLSGNN_SERVE_COALESCE";
-    /// Environment variable injecting an artificial worker delay (ms).
-    pub const DELAY_ENV_VAR: &'static str = "HLSGNN_SERVE_DELAY_MS";
     /// Environment variable naming the slow-request threshold (µs).
     pub const SLOW_ENV_VAR: &'static str = "HLSGNN_SERVE_SLOW_US";
     /// Environment variable toggling the stderr access log (0 disables).
@@ -169,13 +162,12 @@ impl ServeConfig {
             workers: parse(Self::WORKERS_ENV_VAR, defaults.workers),
             cache_capacity: parse(Self::CACHE_ENV_VAR, defaults.cache_capacity),
             queue_bound: parse(Self::QUEUE_ENV_VAR, defaults.queue_bound),
-            coalesce_width: parse(Self::COALESCE_ENV_VAR, defaults.coalesce_width),
-            worker_delay: Duration::from_millis(parse(Self::DELAY_ENV_VAR, 0) as u64),
             slow_threshold_us: parse(
                 Self::SLOW_ENV_VAR,
                 usize::try_from(defaults.slow_threshold_us).unwrap_or(usize::MAX),
             ) as u64,
             access_log: parse(Self::ACCESS_LOG_ENV_VAR, usize::from(defaults.access_log)) != 0,
+            ..defaults
         }
     }
 }
@@ -209,12 +201,12 @@ struct Job {
 }
 
 /// Coalesce-width buckets: exact up to 8, then coarser (widths are small
-/// integers bounded by the coalesce width).
+/// integers bounded by the snapshot's batch size).
 const WIDTH_BUCKETS: [u64; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128];
 
 /// The service's metric handles, all registered in its per-service
-/// [`Registry`] under a `model` label. `/stats` is computed from these same
-/// atomics, so the two endpoints can never disagree.
+/// [`Registry`] under a `model` label — the only record of the service's
+/// counts, rendered by `/metrics`.
 struct ServeMetrics {
     requests: Arc<Counter>,
     served: Arc<Counter>,
@@ -269,7 +261,6 @@ impl ServeMetrics {
 struct ServiceInner {
     snapshot: SavedPredictor,
     model: String,
-    spec: String,
     queue: CoalescingQueue<Job>,
     cache: Mutex<PredictionCache>,
     registry: Arc<Registry>,
@@ -277,9 +268,6 @@ struct ServiceInner {
     kernel_samples: Mutex<HashMap<String, GraphSample>>,
     next_id: AtomicU64,
     reqlog: RequestLog,
-    coalesce_width: usize,
-    node_budget: usize,
-    workers: usize,
     worker_delay: Duration,
 }
 
@@ -304,12 +292,6 @@ impl ServiceHandle {
     pub fn start(snapshot: SavedPredictor, config: &ServeConfig) -> hls_gnn_core::Result<Self> {
         // Fail fast — and give the workers the right to assume success.
         let probe = GnnPredictor::from_saved(&snapshot)?;
-        let coalesce_width = if config.coalesce_width > 0 {
-            config.coalesce_width
-        } else {
-            snapshot.config.batch_size.max(1)
-        };
-        let node_budget = BatchConfig::default().node_budget(snapshot.config.hidden_dim);
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -327,21 +309,23 @@ impl ServiceHandle {
             Arc::clone(&metrics.cache_misses),
             Arc::clone(&metrics.cache_evictions),
         );
+        let queue = CoalescingQueue::new(config.queue_bound);
+        // Fixed for the service's lifetime, so set once here; the gauges
+        // that move are refreshed at scrape time by `render_metrics`.
+        metrics.queue_bound.set(i64::try_from(queue.bound()).unwrap_or(i64::MAX));
+        metrics.cache_capacity.set(i64::try_from(cache.capacity()).unwrap_or(i64::MAX));
+        metrics.workers.set(i64::try_from(workers).unwrap_or(i64::MAX));
         let reqlog = RequestLog::new(model.clone(), config.slow_threshold_us, config.access_log);
         let inner = Arc::new(ServiceInner {
             model,
-            spec: probe.spec().id(),
             snapshot,
-            queue: CoalescingQueue::new(config.queue_bound),
+            queue,
             cache: Mutex::new(cache),
             registry,
             metrics,
             kernel_samples: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             reqlog,
-            coalesce_width,
-            node_budget,
-            workers,
             worker_delay: config.worker_delay,
         });
         let handles = (0..workers)
@@ -385,7 +369,7 @@ impl ServiceHandle {
         if let Some(prediction) = hit {
             // `requests` counts admissions only (cache hits and enqueued
             // work) — shed and refused requests have their own counters, so
-            // the /stats identities `requests = served + in flight` and
+            // the identities `requests = served + errors + in flight` and
             // `shed ∉ requests` hold.
             self.inner.metrics.requests.inc();
             let latency = admitted.elapsed();
@@ -494,44 +478,6 @@ impl ServiceHandle {
         Ok((name.to_owned(), sample))
     }
 
-    /// A point-in-time stats snapshot (the `/stats` document), read from the
-    /// same registry metrics `/metrics` renders.
-    pub fn stats(&self) -> StatsResponse {
-        let cache = self.inner.cache.lock().expect("cache lock");
-        let counters = cache.counters();
-        let cache_body = CacheStatsBody {
-            capacity: cache.capacity(),
-            entries: cache.len(),
-            hits: counters.hits,
-            misses: counters.misses,
-            evictions: counters.evictions,
-        };
-        drop(cache);
-        let metrics = &self.inner.metrics;
-        let latency = LatencyStatsBody {
-            window: usize::try_from(metrics.latency_us.count()).unwrap_or(usize::MAX),
-            p50_us: metrics.latency_us.quantile(0.50),
-            p99_us: metrics.latency_us.quantile(0.99),
-            max_us: metrics.latency_us.max_value(),
-        };
-        StatsResponse {
-            model: self.inner.model.clone(),
-            spec: self.inner.spec.clone(),
-            workers: self.inner.workers,
-            coalesce_width: self.inner.coalesce_width,
-            node_budget: self.inner.node_budget,
-            queue_depth: self.inner.queue.len(),
-            queue_bound: self.inner.queue.bound(),
-            requests: metrics.requests.get(),
-            served: metrics.served.get(),
-            shed: metrics.shed.get(),
-            errors: metrics.errors.get(),
-            slow: metrics.slow.get(),
-            cache: cache_body,
-            latency,
-        }
-    }
-
     /// The `/debug/slow` document: the configured threshold, the lifetime
     /// slow-request count, and the retained slow records (oldest first).
     pub fn slow_requests(&self) -> SlowRequestsResponse {
@@ -542,32 +488,23 @@ impl ServiceHandle {
         )
     }
 
-    /// The most recent resolved requests (oldest first), from the bounded
-    /// in-memory ring behind the access log.
-    pub fn recent_requests(&self) -> Vec<RequestRecord> {
-        self.inner.reqlog.recent()
-    }
-
     /// Renders the `/metrics` document: this service's registry (with the
-    /// point-in-time gauges refreshed at scrape time) followed by the
-    /// process-global registry (training, flow and DSE metrics).
+    /// queue-depth and cache-entries gauges refreshed at scrape time)
+    /// followed by the process-global registry (training, flow and DSE
+    /// metrics).
     pub fn render_metrics(&self) -> String {
         let metrics = &self.inner.metrics;
         metrics.queue_depth.set(i64::try_from(self.inner.queue.len()).unwrap_or(i64::MAX));
-        metrics.queue_bound.set(i64::try_from(self.inner.queue.bound()).unwrap_or(i64::MAX));
-        metrics.workers.set(i64::try_from(self.inner.workers).unwrap_or(i64::MAX));
-        {
-            let cache = self.inner.cache.lock().expect("cache lock");
-            metrics.cache_entries.set(i64::try_from(cache.len()).unwrap_or(i64::MAX));
-            metrics.cache_capacity.set(i64::try_from(cache.capacity()).unwrap_or(i64::MAX));
-        }
+        let entries = self.inner.cache.lock().expect("cache lock").len();
+        metrics.cache_entries.set(i64::try_from(entries).unwrap_or(i64::MAX));
         let mut text = self.inner.registry.render();
         text.push_str(&hls_gnn_obs::global().render());
         text
     }
 
     /// This service's private metrics registry (the one `/metrics` renders
-    /// ahead of the process-global registry).
+    /// ahead of the process-global registry). Its queue-depth and
+    /// cache-entries gauges read as of the last [`Self::render_metrics`].
     pub fn registry(&self) -> &Arc<Registry> {
         &self.inner.registry
     }
@@ -610,8 +547,11 @@ fn worker_loop(inner: &ServiceInner) {
     let Ok(predictor) = GnnPredictor::from_saved(&inner.snapshot) else {
         return;
     };
-    let width = inner.coalesce_width;
-    let budget = inner.node_budget;
+    // The coalescing width is the snapshot's training batch size; the first
+    // queued request always drains, so a width of 0 still serves one at a
+    // time.
+    let width = inner.snapshot.config.batch_size;
+    let budget = BatchConfig::default().node_budget(inner.snapshot.config.hidden_dim);
     while let Some(batch) = inner.queue.drain_coalesced(|next, taken| {
         let taken_nodes: usize = taken.iter().map(|job| job.sample.num_nodes()).sum();
         taken.len() < width && taken_nodes + next.sample.num_nodes() <= budget

@@ -25,7 +25,7 @@
 //! panicking graph constructors.
 //!
 //! [`ShardedDataset`] implements [`SampleSource`], so
-//! `train_regressor_source` / `seed_averaged_mape_source` iterate a corpus
+//! `train_regressor_source` / `Predictor::fit_source` iterate a corpus
 //! larger than memory while only `cache_budget` bytes of decoded shards stay
 //! resident. Because the in-RAM and streamed paths share one training loop
 //! (the `_source` functions), results are bit-identical at any shard size.

@@ -51,16 +51,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reply.status, response.name, response.cached, response.latency_us,
     );
 
-    // 4. Stats, then a graceful stop.
-    let stats = service.stats();
-    println!(
-        "stats: {} served, cache {}/{} entries ({} hits), p50 {} us",
-        stats.served,
-        stats.cache.entries,
-        stats.cache.capacity,
-        stats.cache.hits,
-        stats.latency.p50_us,
-    );
+    // 4. The service's counts, as `GET /metrics` serves them; then a
+    //    graceful stop.
+    let metrics = client.get("/metrics")?.body;
+    for line in metrics.lines().filter(|line| {
+        line.starts_with("hlsgnn_serve_served_total") || line.starts_with("hlsgnn_serve_cache_")
+    }) {
+        println!("metrics: {line}");
+    }
     server.shutdown();
     service.shutdown();
     Ok(())

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use hls_gnn::prelude::*;
 use hls_gnn_serve::{
     sample_fingerprint, HttpClient, HttpServer, Outcome, PredictRequest, PredictResponse,
-    ServeConfig, ServeError, ServiceHandle, SlowRequestsResponse, StatsResponse,
+    ServeConfig, ServeError, ServiceHandle, SlowRequestsResponse,
 };
 use hls_progen::synthetic::SyntheticConfig;
 
@@ -103,20 +103,22 @@ fn served_predictions_are_bit_identical_to_direct_predict_batch() {
                     );
                 }
 
-                let stats = service.stats();
-                assert_eq!(stats.requests, 2 * samples.len() as u64);
-                assert_eq!(stats.served, 2 * samples.len() as u64);
-                assert_eq!(stats.shed, 0);
-                assert_eq!(stats.errors, 0);
+                let metrics = service.render_metrics();
+                let series = |name: &str| metric_value(&metrics, name);
+                let n = samples.len() as f64;
+                assert_eq!(series("hlsgnn_serve_requests_total"), Some(2.0 * n));
+                assert_eq!(series("hlsgnn_serve_served_total"), Some(2.0 * n));
+                assert_eq!(series("hlsgnn_serve_shed_total"), Some(0.0));
+                assert_eq!(series("hlsgnn_serve_errors_total"), Some(0.0));
                 if cache_capacity > 0 {
-                    assert_eq!(stats.cache.hits, samples.len() as u64);
-                    assert_eq!(stats.cache.entries, samples.len());
+                    assert_eq!(series("hlsgnn_serve_cache_hits_total"), Some(n));
+                    assert_eq!(series("hlsgnn_serve_cache_entries"), Some(n));
                 } else {
-                    assert_eq!(stats.cache.hits, 0);
-                    assert_eq!(stats.cache.capacity, 0);
+                    assert_eq!(series("hlsgnn_serve_cache_hits_total"), Some(0.0));
+                    assert_eq!(series("hlsgnn_serve_cache_capacity"), Some(0.0));
                 }
-                assert_eq!(stats.workers, workers);
-                assert!(stats.latency.window > 0);
+                assert_eq!(series("hlsgnn_serve_workers"), Some(workers as f64));
+                assert!(series("hlsgnn_serve_latency_us_count").is_some_and(|count| count > 0.0));
 
                 service.shutdown();
                 let refused = service.predict_sample(samples[0].clone());
@@ -192,18 +194,29 @@ fn metric_value(exposition: &str, name: &str) -> Option<f64> {
         .and_then(|value| value.parse().ok())
 }
 
-/// Satellite: `/metrics` and `/stats` read the same registry, so every
-/// counter and gauge the JSON document reports must appear in the text
-/// exposition with the same value — including cache evictions (forced here
-/// with an undersized cache) and the queue-depth/cache gauges.
+/// `/metrics` is the service's one record of its counts: after a known
+/// sequence of requests, sent one at a time, every serving counter, gauge
+/// and histogram count reads exactly the value that traffic implies —
+/// including cache evictions (forced here with an undersized cache) and the
+/// queue-depth/cache gauges.
 #[test]
-fn metrics_exposition_agrees_with_the_stats_document() {
+fn metrics_exposition_reports_exact_counts_for_sequential_traffic() {
     let dataset = corpus(10, 17);
     let split = dataset.split(0.7, 0.15, 1);
     let predictor = trained("base/gcn", &split);
-    // Capacity 4 against 10 distinct requests forces LRU evictions.
-    let config =
-        ServeConfig { workers: 2, cache_capacity: 4, queue_bound: 32, ..ServeConfig::default() };
+    let mut fingerprints: Vec<_> = dataset.samples.iter().map(sample_fingerprint).collect();
+    fingerprints.sort_unstable();
+    fingerprints.dedup();
+    assert_eq!(fingerprints.len(), 10, "the expected counts assume 10 distinct designs");
+    // Capacity 4 against 10 distinct requests forces LRU evictions; a slow
+    // threshold of 0 counts every request as slow.
+    let config = ServeConfig {
+        workers: 2,
+        cache_capacity: 4,
+        queue_bound: 32,
+        slow_threshold_us: 0,
+        ..ServeConfig::default()
+    };
     let service =
         ServiceHandle::start(predictor.snapshot().expect("snapshot"), &config).expect("starts");
     let server = HttpServer::bind(service.clone(), "127.0.0.1:0").expect("binds");
@@ -220,30 +233,34 @@ fn metrics_exposition_agrees_with_the_stats_document() {
         assert_eq!(client.post("/predict", &body).expect("predict").status, 200);
     }
 
-    let stats: StatsResponse =
-        serde_json::from_str(&client.get("/stats").expect("stats").body).expect("stats parse");
     let metrics = client.get("/metrics").expect("metrics").body;
 
-    assert!(stats.cache.evictions > 0, "an undersized cache must evict");
+    // 13 sequential requests, each answered before the next is sent: the
+    // first 10 miss and the 5th to 10th evict; the last 3 re-miss (their
+    // entries were evicted) and evict again, leaving a full cache. Each
+    // miss is computed alone, so nothing is queued at the end.
     for (name, expected) in [
-        ("hlsgnn_serve_requests_total", stats.requests as f64),
-        ("hlsgnn_serve_served_total", stats.served as f64),
-        ("hlsgnn_serve_shed_total", stats.shed as f64),
-        ("hlsgnn_serve_errors_total", stats.errors as f64),
-        ("hlsgnn_serve_cache_hits_total", stats.cache.hits as f64),
-        ("hlsgnn_serve_cache_misses_total", stats.cache.misses as f64),
-        ("hlsgnn_serve_cache_evictions_total", stats.cache.evictions as f64),
-        ("hlsgnn_serve_latency_us_count", stats.latency.window as f64),
-        ("hlsgnn_serve_queue_depth", stats.queue_depth as f64),
-        ("hlsgnn_serve_queue_bound", stats.queue_bound as f64),
-        ("hlsgnn_serve_cache_entries", stats.cache.entries as f64),
-        ("hlsgnn_serve_cache_capacity", stats.cache.capacity as f64),
-        ("hlsgnn_serve_workers", stats.workers as f64),
+        ("hlsgnn_serve_requests_total", 13.0),
+        ("hlsgnn_serve_served_total", 13.0),
+        ("hlsgnn_serve_shed_total", 0.0),
+        ("hlsgnn_serve_errors_total", 0.0),
+        ("hlsgnn_serve_slow_total", 13.0),
+        ("hlsgnn_serve_cache_hits_total", 0.0),
+        ("hlsgnn_serve_cache_misses_total", 13.0),
+        ("hlsgnn_serve_cache_evictions_total", 9.0),
+        ("hlsgnn_serve_latency_us_count", 13.0),
+        ("hlsgnn_serve_queue_wait_us_count", 13.0),
+        ("hlsgnn_serve_coalesce_width_sum", 13.0),
+        ("hlsgnn_serve_queue_depth", 0.0),
+        ("hlsgnn_serve_queue_bound", 32.0),
+        ("hlsgnn_serve_cache_entries", 4.0),
+        ("hlsgnn_serve_cache_capacity", 4.0),
+        ("hlsgnn_serve_workers", 2.0),
     ] {
         assert_eq!(
             metric_value(&metrics, name),
             Some(expected),
-            "`{name}` must match /stats; exposition:\n{metrics}"
+            "`{name}` does not match the traffic; exposition:\n{metrics}"
         );
     }
     // The exposition is typed and label-scoped to the served model.
@@ -259,7 +276,7 @@ fn metrics_exposition_agrees_with_the_stats_document() {
 
 /// Admission control: with one deliberately slowed worker and a queue bound
 /// of 1, concurrent requests beyond the bound are shed with
-/// [`ServeError::Overloaded`] and counted in the stats.
+/// [`ServeError::Overloaded`] and counted in the metrics.
 #[test]
 fn a_full_queue_sheds_requests_with_overloaded() {
     let dataset = corpus(6, 5);
@@ -305,10 +322,10 @@ fn a_full_queue_sheds_requests_with_overloaded() {
     for served in outcomes.into_iter().flatten() {
         assert!(served.prediction.iter().all(|v| v.is_finite()));
     }
-    let stats = service.stats();
-    assert_eq!(stats.shed, shed as u64);
+    let metrics = service.render_metrics();
+    assert_eq!(metric_value(&metrics, "hlsgnn_serve_shed_total"), Some(shed as f64));
     // `requests` counts admissions only; shed requests are not in it.
-    assert_eq!(stats.requests, 4 - shed as u64);
+    assert_eq!(metric_value(&metrics, "hlsgnn_serve_requests_total"), Some(4.0 - shed as f64));
     service.shutdown();
 }
 
@@ -329,7 +346,6 @@ fn request_ids_are_unique_and_latency_decomposes_into_wait_plus_service() {
         workers: 1,
         cache_capacity: 0,
         queue_bound: 64,
-        coalesce_width: 4,
         worker_delay: std::time::Duration::from_millis(150),
         slow_threshold_us: 0,
         access_log: false,
@@ -361,18 +377,22 @@ fn request_ids_are_unique_and_latency_decomposes_into_wait_plus_service() {
     ids.sort_unstable();
     assert_eq!(ids, (1..=6).collect::<Vec<u64>>(), "ids must be unique and monotonic from 1");
 
-    // Every request resolved into one access-log record with the same ids.
-    let records = service.recent_requests();
+    // Threshold 0 captures everything: every request resolved into one
+    // slow-ring record with the same ids.
+    let slow = service.slow_requests();
+    assert_eq!(slow.threshold_us, 0);
+    assert_eq!(slow.total, 6);
+    let records = slow.requests;
     assert_eq!(records.len(), 6);
     let mut record_ids: Vec<u64> = records.iter().map(|r| r.id).collect();
     record_ids.sort_unstable();
-    assert_eq!(record_ids, ids, "access-log records must carry the served ids");
+    assert_eq!(record_ids, ids, "request records must carry the served ids");
     assert!(
         records.iter().any(|r| r.coalesced >= 2),
         "requests racing a busy worker must coalesce"
     );
     for record in &records {
-        assert_eq!(record.outcome, Outcome::Served);
+        assert_eq!(record.outcome, Outcome::Served.name());
         assert!(record.batch_index < record.coalesced, "batch position within the micro-batch");
         // The artificial delay is service time, so every record's service
         // side is at least the 150 ms sleep.
@@ -397,12 +417,6 @@ fn request_ids_are_unique_and_latency_decomposes_into_wait_plus_service() {
         "requests admitted behind the sleeping worker must wait measurably"
     );
 
-    // Threshold 0 captures everything: the slow ring holds the same six.
-    let slow = service.slow_requests();
-    assert_eq!(slow.threshold_us, 0);
-    assert_eq!(slow.total, 6);
-    assert_eq!(slow.requests.len(), 6);
-
     // Over the wire: the response echoes the next id and /debug/slow
     // round-trips it.
     let server = HttpServer::bind(service.clone(), "127.0.0.1:0").expect("binds");
@@ -424,9 +438,12 @@ fn request_ids_are_unique_and_latency_decomposes_into_wait_plus_service() {
     );
     assert_eq!(client.post("/debug/slow", "").expect("reply").status, 405);
 
-    let stats: StatsResponse =
-        serde_json::from_str(&client.get("/stats").expect("stats").body).expect("stats parse");
-    assert_eq!(stats.slow, 7, "every request crossed the 0 µs slow threshold");
+    let metrics = client.get("/metrics").expect("metrics").body;
+    assert_eq!(
+        metric_value(&metrics, "hlsgnn_serve_slow_total"),
+        Some(7.0),
+        "every request crossed the 0 µs slow threshold"
+    );
 
     server.shutdown();
     service.shutdown();
@@ -434,8 +451,9 @@ fn request_ids_are_unique_and_latency_decomposes_into_wait_plus_service() {
 
 /// The HTTP frontend end to end: predictions over the wire are bit-identical
 /// to direct `predict_batch` (the JSON float encoding is
-/// shortest-round-trip), the error paths map to the right statuses, /stats
-/// parses, and /shutdown stops the accept loop.
+/// shortest-round-trip), the error paths map to the right statuses, the
+/// counts read from the registry, there is no `/stats`, and /shutdown stops
+/// the accept loop.
 #[test]
 fn http_frontend_serves_bit_identical_predictions_and_typed_errors() {
     let dataset = corpus(10, 13);
@@ -449,8 +467,9 @@ fn http_frontend_serves_bit_identical_predictions_and_typed_errors() {
         .collect();
 
     let config = ServeConfig { workers: 2, cache_capacity: 64, ..ServeConfig::default() };
-    let service =
-        ServiceHandle::start(predictor.snapshot().expect("snapshot"), &config).expect("starts");
+    let snapshot = predictor.snapshot().expect("snapshot");
+    assert_eq!(snapshot.spec.id(), "base/gcn");
+    let service = ServiceHandle::start(snapshot, &config).expect("starts");
     let server = HttpServer::bind(service.clone(), "127.0.0.1:0").expect("binds");
     let mut client = HttpClient::new(server.local_addr());
 
@@ -458,6 +477,7 @@ fn http_frontend_serves_bit_identical_predictions_and_typed_errors() {
     let health = client.get("/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     assert!(health.body.contains("ok"));
+    assert!(health.body.contains("\"model\":\"GCN\""), "healthz: {}", health.body);
 
     // Graph predictions: bit-identical over the wire, cached on repeat.
     for sample in &samples {
@@ -505,18 +525,20 @@ fn http_frontend_serves_bit_identical_predictions_and_typed_errors() {
     assert!(reply.body.contains("unknown kernel"));
     assert_eq!(client.get("/no-such-route").expect("reply").status, 404);
     assert_eq!(client.get("/predict").expect("reply").status, 405);
+    // The registry behind `/metrics` is the only record of the counts.
+    assert_eq!(client.get("/stats").expect("reply").status, 404);
 
-    // Stats document.
-    let stats_reply = client.get("/stats").expect("stats");
-    assert_eq!(stats_reply.status, 200);
-    let stats: StatsResponse = serde_json::from_str(&stats_reply.body).expect("stats parse");
-    assert_eq!(stats.model, "GCN");
-    assert_eq!(stats.spec, "base/gcn");
-    assert_eq!(stats.shed, 0);
-    assert!(stats.served >= 2 * samples.len() as u64);
-    assert!(stats.cache.hits >= samples.len() as u64);
-    assert!(stats.latency.p50_us <= stats.latency.p99_us);
-    assert!(stats.latency.p99_us <= stats.latency.max_us);
+    // Counts, from the service's registry (labelled with the model name).
+    let registry = service.registry();
+    let labels = [("model", "GCN")];
+    assert_eq!(registry.counter("hlsgnn_serve_shed_total", &labels).get(), 0);
+    let served = registry.counter("hlsgnn_serve_served_total", &labels).get();
+    assert!(served >= 2 * samples.len() as u64);
+    let hits = registry.counter("hlsgnn_serve_cache_hits_total", &labels).get();
+    assert!(hits >= samples.len() as u64);
+    let latency = registry.histogram("hlsgnn_serve_latency_us", &labels);
+    assert!(latency.quantile(0.50) <= latency.quantile(0.99));
+    assert!(latency.quantile(0.99) <= latency.max_value());
 
     // Graceful shutdown: /shutdown stops the accept loop; wait() returns.
     let reply = client.post("/shutdown", "").expect("shutdown");
