@@ -1,5 +1,5 @@
-//! Persistence micro-benchmark: JSON vs binary snapshot loading, serve
-//! cold-start-to-first-response in both formats, and in-RAM vs streamed
+//! Persistence micro-benchmark: `.hgns` snapshot size and load time, serve
+//! cold-start-to-first-response from snapshot bytes, and in-RAM vs streamed
 //! dataset epoch time. Writes `results/io_bench.json`.
 //!
 //! ```text
@@ -7,18 +7,17 @@
 //! ```
 //!
 //! The loads are repeated and both the minimum and the mean are reported;
-//! the minimum is the honest format-cost signal (everything above it is
+//! the minimum is the honest load-cost signal (everything above it is
 //! scheduler noise at these durations).
 
 use std::time::Instant;
 
 use hls_gnn_bench::write_report;
 use hls_gnn_core::dataset::{Dataset, DatasetBuilder};
-use hls_gnn_core::persist::SavedPredictor;
 use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::train::TrainConfig;
 use hls_gnn_serve::{ServeConfig, ServiceHandle};
-use hls_gnn_store::{encode_snapshot, snapshot_from_bytes, DatasetStoreWriter, ShardedDataset};
+use hls_gnn_store::{decode_snapshot, encode_snapshot, DatasetStoreWriter, ShardedDataset};
 use hls_progen::synthetic::ProgramFamily;
 use serde::Serialize;
 
@@ -45,13 +44,8 @@ fn time_ms(mut op: impl FnMut(), iterations: usize) -> Timing {
 #[derive(Debug, Serialize)]
 struct IoBenchReport {
     model: String,
-    json_bytes: usize,
     binary_bytes: usize,
-    json_load: Timing,
     binary_load: Timing,
-    /// min(json_load) / min(binary_load).
-    load_speedup: f64,
-    serve_cold_start_json: Timing,
     serve_cold_start_binary: Timing,
     dataset_graphs: usize,
     dataset_shards: usize,
@@ -60,8 +54,8 @@ struct IoBenchReport {
 }
 
 fn main() {
-    // One moderately-sized trained model: big enough that per-weight float
-    // parsing shows up, small enough to train in seconds.
+    // One moderately-sized trained model: big enough that per-weight load
+    // cost shows up, small enough to train in seconds.
     let spec: hls_gnn_core::builder::PredictorSpec = "hier/rgcn".parse().expect("spec parses");
     let config = TrainConfig { epochs: 2, hidden_dim: 64, num_layers: 3, ..TrainConfig::fast() };
     let corpus = DatasetBuilder::new(ProgramFamily::Control)
@@ -80,58 +74,34 @@ fn main() {
     predictor.fit(&corpus, &Dataset::default(), &config).expect("training succeeds");
     let saved = predictor.snapshot().expect("snapshot succeeds");
 
-    let json = saved.to_json().expect("JSON serialises");
     let binary = encode_snapshot(&saved).expect("binary serialises");
-    println!("snapshot: {} bytes as JSON, {} bytes binary", json.len(), binary.len());
+    println!("snapshot: {} bytes", binary.len());
 
     const LOAD_ITERS: usize = 25;
-    let json_load = time_ms(
-        || {
-            let loaded = SavedPredictor::from_json(&json).expect("JSON loads");
-            std::hint::black_box(&loaded);
-        },
-        LOAD_ITERS,
-    );
     let binary_load = time_ms(
         || {
-            let loaded = snapshot_from_bytes(&binary).expect("binary loads");
+            let loaded = decode_snapshot(&binary).expect("binary loads");
             std::hint::black_box(&loaded);
         },
         LOAD_ITERS,
     );
-    let load_speedup = json_load.min_ms / binary_load.min_ms;
-    println!(
-        "snapshot load: JSON {:.3} ms, binary {:.3} ms ({:.1}x)",
-        json_load.min_ms, binary_load.min_ms, load_speedup
-    );
+    println!("snapshot load: {:.3} ms", binary_load.min_ms);
 
     // Cold start: bytes on disk -> parsed snapshot -> running service ->
     // first answered prediction.
     let serve_config = ServeConfig::from_env();
     let probe = corpus.samples[0].clone();
     const SERVE_ITERS: usize = 5;
-    let serve_cold_start_json = time_ms(
-        || {
-            let snapshot = snapshot_from_bytes(json.as_bytes()).expect("JSON loads");
-            let service = ServiceHandle::start(snapshot, &serve_config).expect("service starts");
-            service.predict_sample(probe.clone()).expect("first prediction succeeds");
-            service.shutdown();
-        },
-        SERVE_ITERS,
-    );
     let serve_cold_start_binary = time_ms(
         || {
-            let snapshot = snapshot_from_bytes(&binary).expect("binary loads");
+            let snapshot = decode_snapshot(&binary).expect("binary loads");
             let service = ServiceHandle::start(snapshot, &serve_config).expect("service starts");
             service.predict_sample(probe.clone()).expect("first prediction succeeds");
             service.shutdown();
         },
         SERVE_ITERS,
     );
-    println!(
-        "serve cold start to first response: JSON {:.1} ms, binary {:.1} ms",
-        serve_cold_start_json.min_ms, serve_cold_start_binary.min_ms
-    );
+    println!("serve cold start to first response: {:.1} ms", serve_cold_start_binary.min_ms);
 
     // Epoch-time comparison: identical training runs, one fed from RAM and
     // one streamed from a sharded store (results are bit-identical; only the
@@ -173,12 +143,8 @@ fn main() {
 
     let report = IoBenchReport {
         model: spec.id(),
-        json_bytes: json.len(),
         binary_bytes: binary.len(),
-        json_load,
         binary_load,
-        load_speedup,
-        serve_cold_start_json,
         serve_cold_start_binary,
         dataset_graphs: corpus.len(),
         dataset_shards: manifest.shards.len(),

@@ -210,6 +210,7 @@ fn main() {
             cache_capacity: 0,
             queue_bound: 1,
             worker_delay: Duration::from_millis(20),
+            access_log: false,
             ..ServeConfig::default()
         };
         let service = ServiceHandle::start(snapshot, &config).expect("service starts");
@@ -235,7 +236,8 @@ fn main() {
     } else {
         let mut last_metrics = None;
         for (label, cache_capacity) in [("cache-on", 4096), ("cache-off", 0)] {
-            let config = ServeConfig { cache_capacity, ..ServeConfig::default() };
+            let config =
+                ServeConfig { cache_capacity, access_log: false, ..ServeConfig::default() };
             let service = ServiceHandle::start(snapshot.clone(), &config).expect("service starts");
             let server = HttpServer::bind(service.clone(), "127.0.0.1:0").expect("binds");
             let phase = run_phase(label, server.local_addr(), &expected, clients, per_client);

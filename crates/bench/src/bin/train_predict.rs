@@ -1,11 +1,15 @@
 //! The serving-shaped workflow end to end: select a predictor from a spec
-//! string, train it on a synthetic corpus, persist it to JSON, reload it, and
-//! batch-predict a held-out sweep — proving a trained model can be shipped to
-//! another process instead of retrained per run.
+//! string, train it on a synthetic corpus, write it to a `.hgns` snapshot,
+//! reload that file, and batch-predict a held-out sweep — proving a trained
+//! model can be shipped to another process instead of retrained per run.
 //!
 //! ```text
-//! cargo run -p hls-gnn-bench --release --bin train_predict -- hier/rgcn [model.json]
+//! cargo run -p hls-gnn-bench --release --bin train_predict -- hier/rgcn [model.hgns]
 //! ```
+//!
+//! The snapshot defaults to `results/predictor.hgns`. The run exits 1 unless
+//! every held-out prediction of the reloaded model equals the in-process
+//! model's bit for bit.
 //!
 //! The spec accepts `approach/backbone` ids (`base/gcn`, `rich/pna`,
 //! `hier/rgcn`, ...) and the paper's table notation (`RGCN-I`). Scale is
@@ -13,12 +17,19 @@
 
 use std::time::Instant;
 
-use hls_gnn_core::builder::{load_predictor, PredictorBuilder};
+use hls_gnn_core::approach::GnnPredictor;
+use hls_gnn_core::builder::PredictorBuilder;
 use hls_gnn_core::experiments::ExperimentConfig;
 use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::runtime::predict_batch_sharded;
 use hls_gnn_core::task::TargetMetric;
+use hls_gnn_store::{encode_snapshot, snapshot_from_file};
 use hls_progen::synthetic::ProgramFamily;
+
+fn fail(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
 
 fn main() {
     // On panic the flight recorder dumps each thread's recent spans to
@@ -27,7 +38,7 @@ fn main() {
     hls_gnn_obs::install_panic_hook("results/flightrec.json");
     let mut args = std::env::args().skip(1);
     let spec_text = args.next().unwrap_or_else(|| "hier/rgcn".to_owned());
-    let snapshot_path = args.next().unwrap_or_else(|| "results/predictor.json".to_owned());
+    let snapshot_path = args.next().unwrap_or_else(|| "results/predictor.hgns".to_owned());
 
     let builder = match PredictorBuilder::parse(&spec_text) {
         Ok(builder) => builder,
@@ -48,41 +59,36 @@ fn main() {
         config.parallel.workers()
     );
 
-    let corpus = match hls_gnn_core::dataset::DatasetBuilder::new(ProgramFamily::Control)
+    let corpus = hls_gnn_core::dataset::DatasetBuilder::new(ProgramFamily::Control)
         .count(config.cdfg_programs)
         .seed(config.seed)
         .device(config.device.clone())
         .build()
-    {
-        Ok(corpus) => corpus,
-        Err(error) => {
-            eprintln!("corpus construction failed: {error}");
-            std::process::exit(1);
-        }
-    };
+        .unwrap_or_else(|error| fail(&format!("corpus construction failed: {error}")));
     let split = corpus.split(0.8, 0.1, config.seed.wrapping_add(7));
 
     let train_start = Instant::now();
-    let predictor =
-        match builder.config(config.train.clone()).train(&split.train, &split.validation) {
-            Ok(predictor) => predictor,
-            Err(error) => {
-                eprintln!("training failed: {error}");
-                std::process::exit(1);
-            }
-        };
+    let predictor = builder
+        .config(config.train.clone())
+        .train(&split.train, &split.validation)
+        .unwrap_or_else(|error| fail(&format!("training failed: {error}")));
     println!("trained in {:.2} s", train_start.elapsed().as_secs_f64());
 
-    // Persist, reload, and serve the held-out set from the reloaded model.
-    let json = predictor.save_json().expect("trained predictor serialises");
+    // Persist, reload from the file, and serve the held-out set from the
+    // reloaded model.
+    let bytes = predictor
+        .snapshot()
+        .and_then(|saved| encode_snapshot(&saved))
+        .unwrap_or_else(|error| fail(&format!("cannot snapshot the trained model: {error}")));
     if let Some(parent) = std::path::Path::new(&snapshot_path).parent() {
         std::fs::create_dir_all(parent).ok();
     }
-    match std::fs::write(&snapshot_path, &json) {
-        Ok(()) => println!("saved trained model to {snapshot_path} ({} bytes)", json.len()),
-        Err(error) => eprintln!("failed to write {snapshot_path}: {error}"),
-    }
-    let served = load_predictor(&json).expect("snapshot reloads");
+    std::fs::write(&snapshot_path, &bytes)
+        .unwrap_or_else(|error| fail(&format!("failed to write {snapshot_path}: {error}")));
+    println!("saved trained model to {snapshot_path} ({} bytes)", bytes.len());
+    let served = snapshot_from_file(&snapshot_path)
+        .and_then(|saved| GnnPredictor::from_saved(&saved))
+        .unwrap_or_else(|error| fail(&format!("cannot reload {snapshot_path}: {error}")));
 
     // Large inference sets shard across HLSGNN_WORKERS threads, each worker
     // rehydrating its own model from the snapshot; results are bit-identical
@@ -118,4 +124,25 @@ fn main() {
         mape[2] * 100.0,
         mape[3] * 100.0
     );
+
+    // The file must carry the model exactly: every reloaded prediction
+    // equals the in-process one, bit for bit.
+    let in_process = predictor.predict_batch(&split.test.samples);
+    let differing = predictions
+        .iter()
+        .zip(&in_process)
+        .filter(|pair| match pair {
+            (Ok(reloaded), Ok(original)) => {
+                reloaded.iter().zip(original).any(|(a, b)| a.to_bits() != b.to_bits())
+            }
+            _ => true,
+        })
+        .count();
+    if differing > 0 {
+        fail(&format!(
+            "{differing} of {} reloaded predictions differ from the in-process model's",
+            predictions.len()
+        ));
+    }
+    println!("reloaded predictions match the in-process model bit for bit");
 }

@@ -16,7 +16,8 @@ fn main() {
     println!("  ablation       pooling / relational-edge / hierarchy ablations");
     println!("  export_dataset benchmark corpora to the portable JSON release format");
     println!("  train_predict  train a predictor chosen by spec string (e.g. hier/rgcn),");
-    println!("                 save it to JSON, reload it, and batch-predict a held-out sweep");
+    println!("                 write it to a .hgns snapshot, reload that file, and batch-predict");
+    println!("                 a held-out sweep (exits 1 unless the reload is bit-exact)");
     println!();
     println!("Environment:");
     println!("  HLSGNN_SCALE=fast|standard|paper   corpus/model scale (default: fast)");
@@ -25,5 +26,8 @@ fn main() {
     println!("                                     (0/unset = all hardware threads, 1 = serial;");
     println!("                                      results are bit-identical for any N)");
     println!();
-    println!("Criterion micro-benchmarks: cargo bench -p hls-gnn-bench");
+    println!("Timing harness (label, train, predict, serve workloads):");
+    println!(
+        "  cargo run --release --manifest-path pipeline_bench/Cargo.toml -- --workload <name>"
+    );
 }

@@ -164,8 +164,8 @@ fn ensure_nonempty(train: &dyn SampleSource) -> Result<()> {
 /// selected by its [`PredictorSpec`].
 ///
 /// Construct one directly, through [`PredictorSpec::build`], or through
-/// [`crate::builder::PredictorBuilder`]; reload a trained one with
-/// [`crate::builder::load_predictor`].
+/// [`crate::builder::PredictorBuilder`]; rehydrate a trained one from its
+/// snapshot with [`GnnPredictor::from_saved`].
 #[derive(Debug)]
 pub struct GnnPredictor {
     spec: PredictorSpec,
@@ -410,14 +410,14 @@ impl Predictor for GnnPredictor {
 
     fn snapshot(&self) -> Result<SavedPredictor> {
         let (regressor, normalizer) = self.trained_state()?;
-        // Refuse to export NaN/inf weights: JSON has no representation for
-        // them (they'd be written as null and fail on reload in the serving
-        // process), and a non-finite model is broken anyway — fail here,
-        // where the training run can still be fixed.
+        // Refuse to export NaN/inf weights: a diverged model predicts
+        // garbage, so it fails here, where the training run can still be
+        // fixed, rather than in a serving worker or a DSE sweep that
+        // loaded it. (Rehydration itself checks shapes only.)
         let ensure_finite = |state: &[gnn_tensor::Matrix]| -> Result<()> {
             if state.iter().any(gnn_tensor::Matrix::has_non_finite) {
                 return Err(Error::Config(format!(
-                    "{} has non-finite weights (diverged training?); refusing to serialise",
+                    "{} has non-finite weights (diverged training?); refusing to export",
                     self.name()
                 )));
             }
@@ -448,7 +448,6 @@ impl Predictor for GnnPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::load_predictor;
     use crate::dataset::DatasetBuilder;
     use gnn::GnnKind;
     use hls_progen::synthetic::{ProgramFamily, SyntheticConfig};
@@ -476,7 +475,7 @@ mod tests {
         for predictor in &predictors {
             assert!(!predictor.is_trained());
             assert!(matches!(predictor.predict(&test.samples[0]), Err(Error::NotTrained(_))));
-            assert!(matches!(predictor.save_json(), Err(Error::NotTrained(_))));
+            assert!(matches!(predictor.snapshot(), Err(Error::NotTrained(_))));
             let batch = predictor.predict_batch(&test.samples);
             assert_eq!(batch.len(), test.len());
             assert!(batch.iter().all(|r| matches!(r, Err(Error::NotTrained(_)))));
@@ -537,15 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trip_preserves_predictions_exactly() {
+    fn snapshot_round_trip_preserves_predictions_exactly() {
         let (train, validation, test) = tiny_split();
         let config = TrainConfig::fast();
         for approach in ApproachKind::ALL {
             let spec = PredictorSpec::new(approach, GnnKind::GraphSage);
             let mut predictor = GnnPredictor::new(spec, &config);
             predictor.fit(&train, &validation, &config).unwrap();
-            let json = predictor.save_json().unwrap();
-            let reloaded = load_predictor(&json).unwrap();
+            let reloaded = GnnPredictor::from_saved(&predictor.snapshot().unwrap()).unwrap();
             assert_eq!(reloaded.spec(), spec);
             assert!(reloaded.is_trained());
             for sample in &test.samples {
@@ -602,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_weights_refuse_to_serialise() {
+    fn non_finite_weights_refuse_to_export() {
         let (train, validation, _) = tiny_split();
         let config = TrainConfig::fast();
         let mut predictor = GnnPredictor::off_the_shelf(GnnKind::Gcn, &config);
@@ -610,7 +608,7 @@ mod tests {
         let params = predictor.regressor.as_ref().unwrap().parameters();
         let (rows, cols) = params[0].shape();
         params[0].set_value(gnn_tensor::Matrix::full(rows, cols, f32::NAN));
-        assert!(matches!(predictor.save_json(), Err(Error::Config(_))));
+        assert!(matches!(predictor.snapshot(), Err(Error::Config(_))));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Runtime predictor construction: [`PredictorSpec`] names an (approach ×
 //! backbone) combination, [`PredictorBuilder`] turns it into a trainable
-//! `Box<dyn Predictor>`, and [`load_predictor`] revives a trained predictor
-//! from a JSON snapshot.
+//! `Box<dyn Predictor>`.
 //!
 //! Specs parse from compact `"approach/backbone"` strings — `"hier/rgcn"`,
 //! `"base/sage"`, `"rich/pna"` — so bench binaries, config files and serving
@@ -16,7 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::approach::GnnPredictor;
 use crate::encode::FeatureMode;
-use crate::persist::SavedPredictor;
 use crate::predictor::Predictor;
 use crate::train::TrainConfig;
 use crate::{Error, Result};
@@ -250,35 +248,6 @@ impl PredictorBuilder {
         predictor.fit(train, validation, &config)?;
         Ok(predictor)
     }
-}
-
-/// Revives a predictor from a JSON snapshot produced by
-/// [`Predictor::save_json`]. The reloaded predictor's outputs match the
-/// original exactly. Version-less legacy snapshots load as format version 1;
-/// snapshots from a newer format version are refused.
-///
-/// # Errors
-/// Returns [`Error::Parse`] on truncated/malformed JSON or an unknown future
-/// snapshot version (never panics on bad bytes), and [`Error::Config`] on an
-/// architecture mismatch between the snapshot's tensors and its recorded
-/// hyper-parameters.
-pub fn load_predictor(json: &str) -> Result<Box<dyn Predictor>> {
-    let saved = SavedPredictor::from_json(json)?;
-    Ok(Box::new(GnnPredictor::from_saved(&saved)?))
-}
-
-/// [`load_predictor`] from any reader (a snapshot file, a socket), buffering
-/// the text once internally — callers no longer slurp the file into their
-/// own `String` just to pass a `&str` in.
-///
-/// For files that may be in either the JSON or the binary container format,
-/// use `hls_gnn_store::load_predictor_auto`, which sniffs the magic bytes.
-///
-/// # Errors
-/// As [`load_predictor`], plus [`Error::Parse`] on I/O failure.
-pub fn load_predictor_from_reader(reader: impl std::io::Read) -> Result<Box<dyn Predictor>> {
-    let saved = SavedPredictor::from_reader(reader)?;
-    Ok(Box::new(GnnPredictor::from_saved(&saved)?))
 }
 
 #[cfg(test)]

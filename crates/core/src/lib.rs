@@ -13,12 +13,13 @@
 //! * [`model`] provides the graph-level regressor (GNN stack + pooling +
 //!   `hidden-2·hidden-hidden-4` head) and the node-level classifier.
 //! * [`predictor`] defines the dyn-safe [`Predictor`] trait — the single
-//!   interface every model is trained, batched and persisted through — and
+//!   interface every model is trained, batched and snapshotted through — and
 //!   [`approach`] implements the three prediction strategies of §2 behind it
 //!   (off-the-shelf, knowledge-rich, knowledge-infused hierarchical).
 //! * [`builder`] constructs any approach × backbone combination at runtime
 //!   from a [`PredictorSpec`] (parseable from strings like `"hier/rgcn"`),
-//!   and [`persist`] snapshots trained predictors to JSON and back.
+//!   and [`persist`] holds the plain-data snapshot of a trained predictor
+//!   (the `hls_gnn_store` crate writes and reads it as a `.hgns` file).
 //! * [`train`] and [`metrics`] hold the shared training loops, MAPE/accuracy
 //!   metrics and target normalisation. Every forward pass runs on the fused
 //!   batching engine: [`gnn::GraphBatch`] disjoint-unions a chunk of graphs
@@ -61,9 +62,9 @@
 //! let mape = predictor.evaluate(&split.test);
 //! assert!(mape.iter().all(|m| m.is_finite()));
 //!
-//! // Persist the trained model and revive it elsewhere.
-//! let snapshot = predictor.save_json()?;
-//! let reloaded = hls_gnn_core::builder::load_predictor(&snapshot)?;
+//! // Snapshot the trained model and rehydrate it (on another thread, say).
+//! let snapshot = predictor.snapshot()?;
+//! let reloaded = hls_gnn_core::GnnPredictor::from_saved(&snapshot)?;
 //! assert_eq!(
 //!     reloaded.predict(&split.test.samples[0])?,
 //!     predictor.predict(&split.test.samples[0])?,
@@ -90,9 +91,7 @@ pub mod train;
 use std::fmt;
 
 pub use approach::{hls_baseline_mape, seed_averaged_mape, seed_averaged_mape_with, GnnPredictor};
-pub use builder::{
-    load_predictor, load_predictor_from_reader, ApproachKind, PredictorBuilder, PredictorSpec,
-};
+pub use builder::{ApproachKind, PredictorBuilder, PredictorSpec};
 pub use dataset::{Dataset, DatasetBuilder, GraphSample, SampleSource, Split};
 pub use encode::{FeatureEncoder, FeatureMode};
 pub use fingerprint::{sample_fingerprint, Fingerprint};
@@ -115,11 +114,12 @@ pub enum Error {
     NotTrained(String),
     /// Configuration error (invalid hyper-parameters, unknown model name, ...).
     Config(String),
-    /// Malformed serialised input: truncated or invalid JSON, a snapshot from
-    /// an unknown future format version, or a structurally invalid exported
-    /// graph. Distinct from [`Error::Config`] so callers that accept
-    /// untrusted bytes (the serving subsystem, file loaders) can map parse
-    /// failures to "bad request" rather than "server misconfigured".
+    /// Malformed serialised input: truncated or invalid JSON, a malformed or
+    /// oversized `.hgns` snapshot or one from an unknown future format
+    /// version, or a structurally invalid exported graph. Distinct from
+    /// [`Error::Config`] so callers that accept untrusted bytes (the serving
+    /// subsystem, file loaders) can map parse failures to "bad request"
+    /// rather than "server misconfigured".
     Parse(String),
 }
 

@@ -1,12 +1,12 @@
-//! Model persistence: serde-serialisable snapshots of trained predictors.
+//! Trained-predictor snapshots: plain-data copies of a trained model.
 //!
 //! A [`SavedPredictor`] records everything needed to reconstruct a predictor
-//! bit-exactly in another process: the [`crate::builder::PredictorSpec`], the
-//! [`TrainConfig`] (which fixes every architecture dimension), the fitted
-//! target normaliser, and the parameter matrices of the regressor (and, for
-//! the hierarchical approach, the node classifier). JSON is the wire format;
-//! floats are written with shortest-round-trip formatting, so a
-//! save → load → predict cycle reproduces the original predictions exactly.
+//! bit-exactly: the [`crate::builder::PredictorSpec`], the [`TrainConfig`]
+//! (which fixes every architecture dimension), the fitted target
+//! normaliser, and the parameter matrices of the regressor (and, for the
+//! hierarchical approach, the node classifier). This crate does no snapshot
+//! I/O: the `hls_gnn_store` crate owns the one on-disk form, the
+//! checksummed `.hgns` container.
 //!
 //! Snapshots are also the bridge across *threads*: unlike a live model
 //! (whose autodiff tape is `Rc`-based and `!Send`), every snapshot type here
@@ -15,7 +15,6 @@
 //! [`SavedPredictor`] and rehydrates one thread-confined model per worker.
 
 use gnn_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::builder::PredictorSpec;
 use crate::metrics::TargetNormalizer;
@@ -27,7 +26,7 @@ use crate::{Error, Result};
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// One parameter matrix in row-major order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SavedTensor {
     /// Number of rows.
     pub rows: usize,
@@ -49,7 +48,7 @@ impl SavedTensor {
     /// Returns [`Error::Config`] when the data length does not match the
     /// recorded shape.
     pub fn to_matrix(&self) -> Result<Matrix> {
-        if self.data.len() != self.rows * self.cols {
+        if self.rows.checked_mul(self.cols) != Some(self.data.len()) {
             return Err(Error::Config(format!(
                 "saved tensor claims {}x{} but carries {} values",
                 self.rows,
@@ -75,7 +74,7 @@ impl SavedTensor {
 }
 
 /// The fitted target-normalisation statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SavedNormalizer {
     /// Per-target mean of `log1p(target)` on the training set.
     pub mean: [f64; TargetMetric::COUNT],
@@ -96,14 +95,7 @@ impl SavedNormalizer {
 }
 
 /// A complete trained-predictor snapshot.
-///
-/// Deserialisation is hand-written (not derived) for one reason: the
-/// `version` field. Snapshots written before the field existed carry no
-/// `version` key at all; those legacy files are accepted and read as
-/// [`SNAPSHOT_VERSION`] 1, whose layout they share. Snapshots from a *newer*
-/// format version are rejected with a typed [`Error::Parse`] instead of being
-/// misinterpreted field-by-field.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SavedPredictor {
     /// Snapshot format version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
@@ -121,39 +113,6 @@ pub struct SavedPredictor {
     pub classifier: Option<Vec<SavedTensor>>,
 }
 
-impl Deserialize for SavedPredictor {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let obj = value.as_object().ok_or_else(|| {
-            serde::DeError::custom(format!("expected object for SavedPredictor, found {value:?}"))
-        })?;
-        let field = |name: &str| serde::field(obj, name);
-        // A missing (or null) version marks a legacy file from before the
-        // field existed; its layout is exactly version 1 — the literal, not
-        // `SNAPSHOT_VERSION`, which will move past 1 while legacy files
-        // stay what they are.
-        let version = match field("version") {
-            serde::Value::Null => 1,
-            value => u32::from_value(value)
-                .map_err(|e| serde::DeError::custom(format!("SavedPredictor.version: {e}")))?,
-        };
-        macro_rules! parse_field {
-            ($name:literal) => {
-                Deserialize::from_value(field($name)).map_err(|e| {
-                    serde::DeError::custom(format!(concat!("SavedPredictor.", $name, ": {}"), e))
-                })?
-            };
-        }
-        Ok(SavedPredictor {
-            version,
-            spec: parse_field!("spec"),
-            config: parse_field!("config"),
-            normalizer: parse_field!("normalizer"),
-            regressor: parse_field!("regressor"),
-            classifier: parse_field!("classifier"),
-        })
-    }
-}
-
 // The parallel runtime relies on snapshots crossing thread boundaries; keep
 // that guarantee explicit so a future `Rc`/`RefCell` field fails to compile
 // here rather than deep inside a scoped-thread bound.
@@ -163,65 +122,6 @@ const _: () = {
     assert_send_sync::<SavedTensor>();
     assert_send_sync::<SavedNormalizer>();
 };
-
-impl SavedPredictor {
-    /// Serialises the snapshot to pretty-printed JSON.
-    ///
-    /// # Errors
-    /// Returns [`Error::Config`] if serialisation fails.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| Error::Config(format!("failed to serialise predictor: {e}")))
-    }
-
-    /// Parses a snapshot from JSON, checking the format version.
-    ///
-    /// Files written before the `version` field existed (no `version` key)
-    /// are accepted and read as version 1 — their layout is identical.
-    /// Versions newer than [`SNAPSHOT_VERSION`] are refused: a future format
-    /// may have changed field meanings, and misreading weights silently would
-    /// be far worse than a typed error.
-    ///
-    /// # Errors
-    /// Returns [`Error::Parse`] on truncated or malformed JSON, on a value
-    /// whose shape does not match the schema, and on an unknown future
-    /// format version. Never panics, regardless of input.
-    pub fn from_json(json: &str) -> Result<Self> {
-        let saved: SavedPredictor = serde_json::from_str(json)
-            .map_err(|e| Error::Parse(format!("failed to parse predictor snapshot: {e}")))?;
-        if saved.version > SNAPSHOT_VERSION {
-            return Err(Error::Parse(format!(
-                "predictor snapshot version {} is from a newer format than this build \
-                 understands (supported: 1..={SNAPSHOT_VERSION}); refusing to reinterpret it",
-                saved.version
-            )));
-        }
-        if saved.version == 0 {
-            return Err(Error::Parse(
-                "predictor snapshot declares version 0, which was never a valid format \
-                 (legacy files simply omit the field)"
-                    .to_owned(),
-            ));
-        }
-        Ok(saved)
-    }
-
-    /// [`SavedPredictor::from_json`] from any reader (a file, a socket): the
-    /// text is read into one buffer *here* instead of forcing every caller
-    /// to slurp the file itself and then hand over a borrowed `&str` — with
-    /// the old API, loaders ended up holding the snapshot text twice.
-    ///
-    /// # Errors
-    /// Returns [`Error::Parse`] on I/O failure, non-UTF-8 bytes, or any of
-    /// the [`SavedPredictor::from_json`] failures.
-    pub fn from_reader(mut reader: impl std::io::Read) -> Result<Self> {
-        let mut json = String::new();
-        reader
-            .read_to_string(&mut json)
-            .map_err(|e| Error::Parse(format!("cannot read predictor snapshot: {e}")))?;
-        SavedPredictor::from_json(&json)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -242,43 +142,5 @@ mod tests {
         let normalizer = TargetNormalizer::from_parts([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 2.0, 1.0]);
         let back = SavedNormalizer::from_normalizer(&normalizer).to_normalizer();
         assert_eq!(back, normalizer);
-    }
-
-    fn snapshot_with_version(version: u32) -> SavedPredictor {
-        SavedPredictor {
-            version,
-            spec: "base/gcn".parse().unwrap(),
-            config: TrainConfig::fast(),
-            normalizer: SavedNormalizer { mean: [0.0; 4], std: [1.0; 4] },
-            regressor: Vec::new(),
-            classifier: None,
-        }
-    }
-
-    #[test]
-    fn future_versions_are_rejected_with_a_typed_error() {
-        for version in [SNAPSHOT_VERSION + 1, 7, u32::MAX] {
-            let json = snapshot_with_version(version).to_json().unwrap();
-            let error = SavedPredictor::from_json(&json).unwrap_err();
-            assert!(matches!(&error, Error::Parse(message) if message.contains("newer format")));
-        }
-        // Version 0 never existed; an explicit 0 is malformed, not legacy.
-        let json = snapshot_with_version(0).to_json().unwrap();
-        assert!(matches!(SavedPredictor::from_json(&json), Err(Error::Parse(_))));
-    }
-
-    #[test]
-    fn version_less_legacy_files_are_accepted_as_version_one() {
-        let current = snapshot_with_version(SNAPSHOT_VERSION);
-        let json = current.to_json().unwrap();
-        // Strip the version line to reproduce a pre-versioning file.
-        let legacy: String = json
-            .lines()
-            .filter(|line| !line.contains("\"version\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(!legacy.contains("version"));
-        let reloaded = SavedPredictor::from_json(&legacy).expect("legacy snapshot loads");
-        assert_eq!(reloaded, current);
     }
 }

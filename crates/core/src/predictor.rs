@@ -2,13 +2,12 @@
 //! and any future model — is driven through the dyn-safe [`Predictor`] trait.
 //!
 //! A `Box<dyn Predictor>` built by [`crate::builder::PredictorSpec::build`]
-//! (or reloaded from JSON with [`crate::builder::load_predictor`]) can be
-//! trained, evaluated, batched over a design sweep and persisted without the
-//! caller knowing which approach or GNN backbone is inside. All evaluation
-//! hot loops ([`Predictor::evaluate`], [`crate::approach::seed_averaged_mape`]
-//! and the experiment harness) are routed through
-//! [`Predictor::predict_batch`], so there is one inference code path to
-//! optimise.
+//! can be trained, evaluated, batched over a design sweep and snapshotted
+//! without the caller knowing which approach or GNN backbone is inside. All
+//! evaluation hot loops ([`Predictor::evaluate`],
+//! [`crate::approach::seed_averaged_mape`] and the experiment harness) are
+//! routed through [`Predictor::predict_batch`], so there is one inference
+//! code path to optimise.
 
 use crate::builder::PredictorSpec;
 use crate::dataset::{Dataset, GraphSample, SampleSource};
@@ -22,7 +21,7 @@ use crate::Result;
 ///
 /// The trait is object-safe: servers, bench binaries and config-driven tools
 /// hold predictors as `Box<dyn Predictor>` and select the concrete model at
-/// runtime with [`crate::builder::PredictorSpec::from_str`].
+/// runtime by parsing a [`crate::builder::PredictorSpec`] from a string.
 pub trait Predictor {
     /// The spec (approach × backbone) this predictor was built from.
     fn spec(&self) -> PredictorSpec;
@@ -162,13 +161,13 @@ pub trait Predictor {
     /// weights) as a plain-`Matrix`, `Send + Sync` snapshot. This is the
     /// bridge out of the `!Send` autodiff tape: the snapshot can cross
     /// threads freely, so the parallel runtime rehydrates one per worker to
-    /// shard inference ([`crate::runtime::predict_batch_sharded`]), and
-    /// [`Predictor::save_json`] serialises it for another process.
+    /// shard inference ([`crate::runtime::predict_batch_sharded`]), and the
+    /// `hls_gnn_store` crate encodes it as a `.hgns` file for another
+    /// process.
     ///
-    /// Contract: rehydrating the snapshot — through
-    /// [`crate::approach::GnnPredictor::from_saved`] or
-    /// [`crate::builder::load_predictor`] — must produce a predictor whose
-    /// outputs match this one *exactly*. The sharded-inference fast path
+    /// Contract: rehydrating the snapshot through
+    /// [`crate::approach::GnnPredictor::from_saved`] must produce a predictor
+    /// whose outputs match this one *exactly*. The sharded-inference fast path
     /// relies on that equivalence; an implementation that cannot express its
     /// inference as a rehydrated [`crate::approach::GnnPredictor`] must
     /// return an error here (the runtime then falls back to its serial
@@ -180,17 +179,6 @@ pub trait Predictor {
     /// weights are non-finite (a diverged run is refused rather than
     /// exported).
     fn snapshot(&self) -> Result<SavedPredictor>;
-
-    /// Serialises the trained state to JSON via [`Predictor::snapshot`]. The
-    /// result reloads with [`crate::builder::load_predictor`], producing a
-    /// predictor whose outputs match the original exactly.
-    ///
-    /// # Errors
-    /// Returns [`crate::Error::NotTrained`] if called before
-    /// [`Predictor::fit`].
-    fn save_json(&self) -> Result<String> {
-        self.snapshot()?.to_json()
-    }
 }
 
 impl<P: Predictor + ?Sized> Predictor for Box<P> {
@@ -237,9 +225,5 @@ impl<P: Predictor + ?Sized> Predictor for Box<P> {
 
     fn snapshot(&self) -> Result<SavedPredictor> {
         (**self).snapshot()
-    }
-
-    fn save_json(&self) -> Result<String> {
-        (**self).save_json()
     }
 }

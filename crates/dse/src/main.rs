@@ -1,8 +1,7 @@
 //! `hls-gnn-dse` — explore a design space with a trained predictor.
 //!
 //! ```text
-//! hls-gnn-dse <space> <model.json>   # spaces: dot, dot-tiny, fir, fir-tiny, stencil
-//! hls-gnn-dse <space> <model.hgns>   # binary snapshots work too (format sniffed)
+//! hls-gnn-dse <space> <model.hgns>   # spaces: dot, dot-tiny, fir, fir-tiny, stencil
 //! hls-gnn-dse <space> --demo         # train a small demo model first
 //! ```
 //!
@@ -20,6 +19,7 @@
 //! `results/dse_<space>_<strategy>.json`; for a fixed seed the bytes are
 //! identical across runs and worker counts.
 
+use hls_gnn_core::approach::GnnPredictor;
 use hls_gnn_core::builder::PredictorBuilder;
 use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::runtime::ParallelConfig;
@@ -29,7 +29,7 @@ use hls_gnn_dse::{
     sample_training_set, DesignSpace, DseReport, Evaluator, Exhaustive, Explorer, Nsga2,
     RandomSearch, SimulatedAnnealing,
 };
-use hls_gnn_store::load_predictor_auto;
+use hls_gnn_store::snapshot_from_file;
 use hls_sim::{DeviceCatalog, FpgaDevice};
 
 fn fail(message: &str) -> ! {
@@ -114,10 +114,9 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: hls-gnn-dse [--device <name>] [--catalog <file>] <space> \
-             <model.json|model.hgns | --demo>\n\n\
-             Explores a design space with a trained predictor and writes\n\
-             results/dse_<space>_<strategy>.json per strategy. The snapshot\n\
-             format (JSON or binary) is sniffed from the file.\n\
+             <model.hgns | --demo>\n\n\
+             Explores a design space with a trained predictor's .hgns snapshot\n\
+             and writes results/dse_<space>_<strategy>.json per strategy.\n\
              Spaces: {}.\n\
              Devices: {} (or any part from a --catalog file).\n\
              Env: HLSGNN_DSE_STRATEGY (exhaustive|random|anneal|nsga2|all),\n\
@@ -132,7 +131,7 @@ fn main() {
     let [space_name, model_arg] = positional.as_slice() else {
         fail(
             "usage: hls-gnn-dse [--device <name>] [--catalog <file>] <space> \
-             <model.json|model.hgns | --demo> (see --help)",
+             <model.hgns | --demo> (see --help)",
         );
     };
     let catalog = match &catalog_path {
@@ -179,11 +178,9 @@ fn main() {
     let predictor: Box<dyn Predictor> = if model_arg == "--demo" {
         demo_model(&space, &device, seed)
     } else {
-        // Accepts both snapshot formats by sniffing the magic bytes.
-        let bytes = std::fs::read(model_arg)
-            .unwrap_or_else(|error| fail(&format!("cannot read `{model_arg}`: {error}")));
-        load_predictor_auto(&bytes)
-            .unwrap_or_else(|error| fail(&format!("cannot load `{model_arg}`: {error}")))
+        let revived =
+            snapshot_from_file(model_arg).and_then(|saved| GnnPredictor::from_saved(&saved));
+        Box::new(revived.unwrap_or_else(|error| fail(&format!("cannot load snapshot: {error}"))))
     };
 
     println!(

@@ -1,13 +1,9 @@
 //! `hls-gnn-serve` — serve a trained predictor over HTTP.
 //!
 //! ```text
-//! hls-gnn-serve model.json       # serve a snapshot written by save_json()
-//! hls-gnn-serve model.hgns       # or a binary snapshot from hls-gnn-pack
+//! hls-gnn-serve model.hgns       # serve a snapshot written by train_predict
 //! hls-gnn-serve --demo           # train a small demo model, then serve it
 //! ```
-//!
-//! The snapshot format is sniffed from the file's magic bytes, so JSON and
-//! binary snapshots are interchangeable here.
 //!
 //! Environment knobs: `HLSGNN_SERVE_HOST` / `HLSGNN_SERVE_PORT` (bind
 //! address, default `127.0.0.1:7878`), `HLSGNN_SERVE_WORKERS`,
@@ -57,8 +53,8 @@ fn main() {
         [flag] if flag == "--demo" => demo_snapshot(),
         [path] if path == "--help" || path == "-h" => {
             println!(
-                "usage: hls-gnn-serve <model.json|model.hgns> | --demo\n\n\
-                 Serves a trained predictor snapshot (JSON or binary) over HTTP.\n\
+                "usage: hls-gnn-serve <model.hgns> | --demo\n\n\
+                 Serves a trained predictor's .hgns snapshot over HTTP.\n\
                  Routes: POST /predict, GET /metrics, GET /debug/slow, GET /healthz,\n\
                  POST /shutdown.\n\
                  Env: HLSGNN_SERVE_HOST, HLSGNN_SERVE_PORT, HLSGNN_SERVE_WORKERS,\n\
@@ -67,13 +63,9 @@ fn main() {
             );
             return;
         }
-        [path] => {
-            // Accepts both snapshot formats: the loader sniffs the magic
-            // bytes and decodes binary containers or JSON accordingly.
-            hls_gnn_store::snapshot_from_file(path)
-                .unwrap_or_else(|error| fail(&format!("cannot load snapshot: {error}")))
-        }
-        _ => fail("usage: hls-gnn-serve <model.json|model.hgns> | --demo (see --help)"),
+        [path] => hls_gnn_store::snapshot_from_file(path)
+            .unwrap_or_else(|error| fail(&format!("cannot load snapshot: {error}"))),
+        _ => fail("usage: hls-gnn-serve <model.hgns> | --demo (see --help)"),
     };
 
     let spec = snapshot.spec.id();

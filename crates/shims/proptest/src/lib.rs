@@ -198,7 +198,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Lengths accepted by [`vec`]: a fixed size or a half-open range.
+    /// Lengths accepted by [`vec()`]: a fixed size or a half-open range.
     pub trait IntoSizeRange {
         /// Lower bound (inclusive) and upper bound (exclusive).
         fn bounds(&self) -> (usize, usize);
@@ -224,7 +224,7 @@ pub mod collection {
         VecStrategy { element, min, max }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

@@ -26,13 +26,10 @@
 //! [`Error::Parse`], never a panic and never silently-wrong weights.
 
 use std::borrow::Cow;
-use std::io::Read;
 
 use hls_gnn_core::{Error, Result};
 
-/// The 8 magic bytes every container file starts with. Also the sniffing key
-/// for format auto-detection: JSON snapshots start with `{` or whitespace,
-/// never with this sequence.
+/// The 8 magic bytes every container file starts with.
 pub const MAGIC: [u8; 8] = *b"HGNSTORE";
 
 /// Current container format version, bumped on incompatible layout changes.
@@ -149,18 +146,6 @@ impl AlignedBytes {
         AlignedBytes { storage, len: bytes.len() }
     }
 
-    /// Reads a whole stream into aligned storage.
-    ///
-    /// # Errors
-    /// Returns [`Error::Parse`] on I/O failure.
-    pub fn from_reader(mut reader: impl Read) -> Result<Self> {
-        let mut bytes = Vec::new();
-        reader
-            .read_to_end(&mut bytes)
-            .map_err(|e| Error::Parse(format!("cannot read container: {e}")))?;
-        Ok(AlignedBytes::from_bytes(&bytes))
-    }
-
     /// The bytes.
     pub fn as_slice(&self) -> &[u8] {
         // Safety: the storage holds at least `len` initialised bytes.
@@ -272,13 +257,6 @@ pub struct Container {
 }
 
 impl Container {
-    /// True when `bytes` starts with the container magic — the format
-    /// auto-detection used by the CLIs (a JSON snapshot can never start with
-    /// these bytes).
-    pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-    }
-
     /// Parses and validates a container from an aligned buffer.
     ///
     /// Validation is exhaustive: magic, version (future versions are refused,
@@ -297,7 +275,7 @@ impl Container {
                 bytes.len()
             )));
         }
-        if !Container::sniff(bytes) {
+        if bytes[..MAGIC.len()] != MAGIC {
             return Err(Error::Parse(
                 "not a container: magic bytes are missing (expected `HGNSTORE`)".to_owned(),
             ));
@@ -394,14 +372,6 @@ impl Container {
     /// As [`Container::from_aligned`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         Container::from_aligned(AlignedBytes::from_bytes(bytes))
-    }
-
-    /// Reads and parses a container from a stream.
-    ///
-    /// # Errors
-    /// As [`Container::from_aligned`], plus I/O failures.
-    pub fn from_reader(reader: impl Read) -> Result<Self> {
-        Container::from_aligned(AlignedBytes::from_reader(reader)?)
     }
 
     /// `(name, element kind, payload length in bytes)` for every section, in
@@ -573,14 +543,6 @@ mod tests {
         assert!(matches!(container.bytes("nope"), Err(Error::Parse(_))));
         assert!(matches!(container.f64s("weights"), Err(Error::Parse(_))));
         assert!(matches!(container.f32s("meta"), Err(Error::Parse(_))));
-    }
-
-    #[test]
-    fn sniffing_distinguishes_containers_from_json() {
-        assert!(Container::sniff(&sample_container()));
-        assert!(!Container::sniff(b"{\"version\": 1}"));
-        assert!(!Container::sniff(b""));
-        assert!(!Container::sniff(b"HGNST"));
     }
 
     #[test]

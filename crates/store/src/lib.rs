@@ -10,11 +10,11 @@
 //!   little-endian targets) instead of a float-parse per value. Any
 //!   single-byte corruption anywhere in a file is a typed
 //!   [`hls_gnn_core::Error::Parse`], never a panic.
-//! * [`snapshot`] — trained-predictor snapshots in the container format,
-//!   bit-identical to the JSON path after a round trip, plus
-//!   [`load_predictor_auto`] which accepts **either** format by sniffing the
-//!   magic bytes. JSON stays the debuggable interchange format; the
-//!   container is the fast one.
+//! * [`snapshot`] — trained-predictor snapshots as `.hgns` containers, the
+//!   only on-disk form of a trained model: [`encode_snapshot`] writes one,
+//!   [`decode_snapshot`] reads one back bit-exactly and refuses hostile
+//!   files with a typed error, and [`snapshot_from_file`] reads one from a
+//!   path.
 //! * [`dataset_store`] — sharded on-disk corpora: [`SyntheticSpill`] streams
 //!   a progen corpus to disk one program at a time, and [`ShardedDataset`]
 //!   implements [`hls_gnn_core::SampleSource`] so the `_source` training and
@@ -22,10 +22,9 @@
 //!   bit-identical to in-RAM training at any shard size, because both paths
 //!   share one training loop.
 //!
-//! The `hls-gnn-pack` binary (this crate's `src/main.rs`) exposes the codec
-//! on the command line: convert snapshots between formats, inspect container
-//! sections, spill and summarise dataset stores, and validate device-catalog
-//! files.
+//! The `hls-gnn-pack` binary (this crate's `src/main.rs`) exposes the format
+//! on the command line: inspect container sections, spill and summarise
+//! dataset stores, and validate device-catalog files.
 //!
 //! ```
 //! use hls_gnn_store::{Container, ContainerWriter};
@@ -49,7 +48,4 @@ pub use dataset_store::{
     write_dataset, DatasetStoreWriter, ShardEntry, ShardedDataset, StoreManifest, SyntheticSpill,
     DEFAULT_CACHE_BUDGET, DEFAULT_SHARD_BYTES, DEFAULT_SHARD_SAMPLES, STORE_FORMAT, STORE_VERSION,
 };
-pub use snapshot::{
-    decode_snapshot, encode_snapshot, load_predictor_auto, snapshot_from_bytes, snapshot_from_file,
-    snapshot_from_reader,
-};
+pub use snapshot::{decode_snapshot, encode_snapshot, snapshot_from_file};

@@ -1,22 +1,17 @@
 //! `hls-gnn-pack` — command-line front end for the persistence layer.
 //!
 //! ```text
-//! hls-gnn-pack pack <model.json> <model.hgns>      # JSON snapshot → binary
-//! hls-gnn-pack unpack <model.hgns> <model.json>    # binary snapshot → JSON
-//! hls-gnn-pack inspect <file>                      # container/JSON header & sections
+//! hls-gnn-pack inspect <file>                      # container header & sections
 //! hls-gnn-pack validate-catalog <devices.catalog>  # check a device-catalog file
 //! hls-gnn-pack pack-dataset <dfg|cdfg> <count> <seed> <dir>  # spill a corpus
 //! hls-gnn-pack dataset-info <dir>                  # summarise a dataset store
 //! ```
 //!
-//! `pack`/`unpack` accept either input format (the source is sniffed), so
-//! `pack` on an already-binary file re-encodes it and `unpack` on a JSON
-//! file pretty-prints it. `pack-dataset` honours `HLSGNN_PACK_SHARD`
+//! Trained models are `.hgns` files written by `train_predict`; `inspect`
+//! lists their sections. `pack-dataset` honours `HLSGNN_PACK_SHARD`
 //! (samples per shard, default 512).
 
-use hls_gnn_store::{
-    encode_snapshot, snapshot_from_file, Container, ShardedDataset, SyntheticSpill,
-};
+use hls_gnn_store::{Container, ShardedDataset, SyntheticSpill};
 use hls_progen::synthetic::ProgramFamily;
 
 fn fail(message: &str) -> ! {
@@ -29,8 +24,6 @@ fn usage() -> ! {
         "usage: hls-gnn-pack <command> ...\n\
          \n\
          commands:\n\
-         \x20 pack <in> <out.hgns>             convert a snapshot (either format) to binary\n\
-         \x20 unpack <in> <out.json>           convert a snapshot (either format) to JSON\n\
          \x20 inspect <file>                   show container version and sections\n\
          \x20 validate-catalog <file>          validate a device-catalog file\n\
          \x20 pack-dataset <dfg|cdfg> <count> <seed> <dir>  spill a synthetic corpus\n\
@@ -51,49 +44,9 @@ fn human_bytes(bytes: u64) -> String {
     }
 }
 
-fn cmd_pack(input: &str, output: &str) {
-    let saved = snapshot_from_file(input).unwrap_or_else(|error| fail(&error.to_string()));
-    let bytes = encode_snapshot(&saved).unwrap_or_else(|error| fail(&error.to_string()));
-    std::fs::write(output, &bytes)
-        .unwrap_or_else(|error| fail(&format!("cannot write `{output}`: {error}")));
-    println!(
-        "packed {} ({}) -> {output} ({})",
-        saved.spec.name(),
-        input,
-        human_bytes(bytes.len() as u64)
-    );
-}
-
-fn cmd_unpack(input: &str, output: &str) {
-    let saved = snapshot_from_file(input).unwrap_or_else(|error| fail(&error.to_string()));
-    // No trailing newline: the output is byte-identical to `save_json()`,
-    // so `unpack(pack(x))` can be `cmp`-checked against the original file.
-    let json = saved.to_json().unwrap_or_else(|error| fail(&error.to_string()));
-    std::fs::write(output, json)
-        .unwrap_or_else(|error| fail(&format!("cannot write `{output}`: {error}")));
-    println!("unpacked {} ({input}) -> {output}", saved.spec.name());
-}
-
 fn cmd_inspect(path: &str) {
     let bytes =
         std::fs::read(path).unwrap_or_else(|error| fail(&format!("cannot read `{path}`: {error}")));
-    if !Container::sniff(&bytes) {
-        match snapshot_from_file(path) {
-            Ok(saved) => {
-                println!(
-                    "{path}: JSON predictor snapshot, version {}, model {} ({}), \
-                     {} regressor tensor(s), classifier: {}",
-                    saved.version,
-                    saved.spec.name(),
-                    saved.spec.id(),
-                    saved.regressor.len(),
-                    if saved.classifier.is_some() { "yes" } else { "no" },
-                );
-                return;
-            }
-            Err(error) => fail(&format!("`{path}` is neither a container nor a snapshot: {error}")),
-        }
-    }
     let container = Container::from_bytes(&bytes).unwrap_or_else(|error| fail(&error.to_string()));
     println!(
         "{path}: container version {}, {} ({} section(s))",
@@ -174,8 +127,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     match args.as_slice() {
-        ["pack", input, output] => cmd_pack(input, output),
-        ["unpack", input, output] => cmd_unpack(input, output),
         ["inspect", path] => cmd_inspect(path),
         ["validate-catalog", path] => cmd_validate_catalog(path),
         ["pack-dataset", family, count, seed, dir] => cmd_pack_dataset(family, count, seed, dir),

@@ -1,6 +1,7 @@
-//! Binary predictor snapshots: [`SavedPredictor`] ⇄ container codec, plus
-//! format auto-detection so every loader accepts JSON and binary snapshots
-//! interchangeably.
+//! Predictor snapshots on disk: [`SavedPredictor`] ⇄ `.hgns` container.
+//! [`encode_snapshot`] is the one writer and [`decode_snapshot`] the one
+//! reader; [`snapshot_from_file`] wraps the reader with the file's path in
+//! its errors.
 //!
 //! # Sections
 //!
@@ -14,22 +15,24 @@
 //! The weight blobs are raw little-endian IEEE-754, so loading is a
 //! slice-reinterpretation of the file buffer rather than a float-parse per
 //! weight — and bit-exact by construction: the bytes written *are* the bits
-//! of the trained `f32`s. A binary round trip therefore reproduces
-//! `predict_batch` outputs exactly, same as the JSON path (which relies on
-//! shortest-round-trip float formatting for the same guarantee).
+//! of the trained `f32`s, so a round trip reproduces `predict_batch`
+//! outputs exactly.
 //!
-//! Small structured state (spec, hyper-parameters, shapes) stays JSON inside
-//! the `meta` section: it is tens of bytes, human-recoverable, and reuses the
-//! existing serde schema instead of inventing a second binary encoding of
-//! `TrainConfig`.
+//! Small structured state (spec, hyper-parameters, shapes) is JSON inside
+//! the `meta` section: it is tens of bytes, human-recoverable, and reuses
+//! the serde schema of `PredictorSpec` and `TrainConfig` instead of
+//! inventing a binary encoding of them.
+//!
+//! A snapshot file is untrusted input. The decoder checks every shape with
+//! checked arithmetic against the weights the file carries, and refuses a
+//! `config` that implies a larger model than those weights before anything
+//! is built from it, so the model a file can make a loader build is at most
+//! a constant multiple of the file's own size.
 
-use std::io::Read;
 use std::path::Path;
 
-use hls_gnn_core::approach::GnnPredictor;
 use hls_gnn_core::builder::PredictorSpec;
 use hls_gnn_core::persist::{SavedNormalizer, SavedPredictor, SavedTensor, SNAPSHOT_VERSION};
-use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::train::TrainConfig;
 use hls_gnn_core::{Error, Result};
 use serde::{Deserialize, Serialize};
@@ -47,8 +50,8 @@ struct TensorShape {
 /// The JSON payload of the `meta` section.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BinaryMeta {
-    /// [`SNAPSHOT_VERSION`] of the snapshot, with the same semantics as the
-    /// JSON format: 0 and future versions are refused at decode time.
+    /// [`SNAPSHOT_VERSION`] of the snapshot: 0 and future versions are
+    /// refused at decode time.
     snapshot_version: u32,
     spec: PredictorSpec,
     config: TrainConfig,
@@ -69,27 +72,58 @@ fn concat_data(tensors: &[SavedTensor]) -> Vec<f32> {
     out
 }
 
+/// Cuts a section's weights into the recorded shapes. Each shape's product
+/// is checked and bounded by the weights still unread, so no shape list can
+/// overflow or read past the section.
 fn split_data(section: &str, shapes: &[TensorShape], data: &[f32]) -> Result<Vec<SavedTensor>> {
-    let expected: usize = shapes.iter().map(|s| s.rows * s.cols).sum();
-    if data.len() != expected {
-        return Err(Error::Parse(format!(
-            "snapshot section `{section}` holds {} weights but the recorded shapes need \
-             {expected}",
+    let mismatch = || {
+        Error::Parse(format!(
+            "snapshot section `{section}` holds {} weights, which contradicts its recorded shapes",
             data.len()
-        )));
-    }
+        ))
+    };
     let mut tensors = Vec::with_capacity(shapes.len());
-    let mut offset = 0;
+    let mut rest = data;
     for shape in shapes {
-        let count = shape.rows * shape.cols;
-        tensors.push(SavedTensor {
-            rows: shape.rows,
-            cols: shape.cols,
-            data: data[offset..offset + count].to_vec(),
-        });
-        offset += count;
+        let count = shape.rows.checked_mul(shape.cols).filter(|&count| count <= rest.len());
+        let (head, tail) = rest.split_at(count.ok_or_else(mismatch)?);
+        tensors.push(SavedTensor { rows: shape.rows, cols: shape.cols, data: head.to_vec() });
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(mismatch());
     }
     Ok(tensors)
+}
+
+/// Refuses a `config` that implies a larger regressor than the file
+/// carries, before any model is built from it. Each bound counts weights
+/// that every registry backbone's regressor holds:
+/// - a tensor per GNN layer: `1 ≤ num_layers ≤ tensors`;
+/// - the head's `hidden × 2·hidden` matrix plus a `hidden × hidden` one per
+///   layer past the first: `(num_layers + 1)·hidden² ≤ weights`;
+/// - the first layer's `embed_dim`-wide embedding inputs into `hidden`
+///   outputs, plus the `embed_dim`-wide embedding tables:
+///   `embed_dim·(hidden + 1) ≤ weights`.
+///
+/// A genuine snapshot therefore always passes, and building the model of one
+/// that passes costs at most a constant multiple of the file's weights.
+fn check_config_fits(config: &TrainConfig, regressor: &[SavedTensor]) -> Result<()> {
+    let tensors = regressor.len();
+    let weights: usize = regressor.iter().map(|tensor| tensor.data.len()).sum();
+    let (hidden, layers, embed) = (config.hidden_dim, config.num_layers, config.embed_dim);
+    let head_and_layers =
+        hidden.checked_mul(hidden).and_then(|square| square.checked_mul(layers.saturating_add(1)));
+    let embedding = embed.checked_mul(hidden.saturating_add(1));
+    let within = |count: Option<usize>| count.is_some_and(|count| count <= weights);
+    let fits = (1..=tensors).contains(&layers) && within(head_and_layers) && within(embedding);
+    if fits {
+        return Ok(());
+    }
+    Err(Error::Parse(format!(
+        "snapshot config (num_layers {layers}, hidden_dim {hidden}, embed_dim {embed}) implies \
+         a larger model than the {weights} regressor weights in {tensors} tensor(s) it carries"
+    )))
 }
 
 /// Serialises a predictor snapshot into the binary container format.
@@ -122,19 +156,18 @@ pub fn encode_snapshot(saved: &SavedPredictor) -> Result<Vec<u8>> {
     Ok(writer.finish())
 }
 
-/// Decodes a predictor snapshot from a parsed container.
+/// Decodes a predictor snapshot from the bytes of a `.hgns` file.
 ///
-/// Version semantics match [`SavedPredictor::from_json`]: version 0 and
-/// versions newer than [`SNAPSHOT_VERSION`] are refused with a typed error
-/// rather than misread. (Unlike JSON there is no version-less legacy binary —
-/// the format has carried the field from day one, so a missing field is
-/// malformed, not legacy.)
+/// Version 0 and versions newer than [`SNAPSHOT_VERSION`] are refused with a
+/// typed error rather than misread.
 ///
 /// # Errors
-/// Returns [`Error::Parse`] on missing/mistyped sections, malformed metadata,
-/// weight counts that contradict the recorded shapes, or an unsupported
-/// snapshot version.
-pub fn decode_snapshot(container: &Container) -> Result<SavedPredictor> {
+/// Returns [`Error::Parse`] on a malformed container, missing or mistyped
+/// sections, malformed metadata, weight counts that contradict the recorded
+/// shapes, a `config` that implies more weights than the file carries, or
+/// an unsupported snapshot version. Never panics, regardless of input.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<SavedPredictor> {
+    let container = Container::from_bytes(bytes)?;
     let meta_bytes = container.bytes("meta")?;
     let meta_json = std::str::from_utf8(meta_bytes)
         .map_err(|_| Error::Parse("snapshot `meta` section is not valid UTF-8".to_owned()))?;
@@ -166,6 +199,7 @@ pub fn decode_snapshot(container: &Container) -> Result<SavedPredictor> {
     std.copy_from_slice(&normalizer[4..]);
 
     let regressor = split_data("regressor", &meta.regressor_shapes, &container.f32s("regressor")?)?;
+    check_config_fits(&meta.config, &regressor)?;
     let classifier = match &meta.classifier_shapes {
         Some(shapes) => Some(split_data("classifier", shapes, &container.f32s("classifier")?)?),
         None => None,
@@ -181,70 +215,34 @@ pub fn decode_snapshot(container: &Container) -> Result<SavedPredictor> {
     })
 }
 
-/// Parses a snapshot from bytes in **either** format, deciding by the magic
-/// bytes: container files start with `HGNSTORE`, JSON files cannot.
+/// Loads a `.hgns` snapshot file, prefixing errors with the path.
 ///
 /// # Errors
-/// Returns [`Error::Parse`] on malformed input in whichever format was
-/// detected (non-UTF-8 bytes without the magic are reported as not being a
-/// JSON snapshot).
-pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<SavedPredictor> {
-    if Container::sniff(bytes) {
-        decode_snapshot(&Container::from_bytes(bytes)?)
-    } else {
-        let json = std::str::from_utf8(bytes).map_err(|_| {
-            Error::Parse(
-                "snapshot is neither a binary container (no magic bytes) nor UTF-8 JSON".to_owned(),
-            )
-        })?;
-        SavedPredictor::from_json(json)
-    }
-}
-
-/// [`snapshot_from_bytes`] from any reader, buffering the bytes once.
-///
-/// # Errors
-/// As [`snapshot_from_bytes`], plus I/O failures as [`Error::Parse`].
-pub fn snapshot_from_reader(mut reader: impl Read) -> Result<SavedPredictor> {
-    let mut bytes = Vec::new();
-    reader
-        .read_to_end(&mut bytes)
-        .map_err(|e| Error::Parse(format!("cannot read predictor snapshot: {e}")))?;
-    snapshot_from_bytes(&bytes)
-}
-
-/// Revives a live predictor from snapshot bytes in either format — the
-/// format-sniffing counterpart of [`hls_gnn_core::load_predictor`], usable
-/// wherever a model file may be JSON or binary.
-///
-/// # Errors
-/// As [`snapshot_from_bytes`], plus [`Error::Config`] on an architecture
-/// mismatch inside the snapshot.
-pub fn load_predictor_auto(bytes: &[u8]) -> Result<Box<dyn Predictor>> {
-    let saved = snapshot_from_bytes(bytes)?;
-    Ok(Box::new(GnnPredictor::from_saved(&saved)?))
-}
-
-/// Loads a snapshot file in either format, prefixing errors with the path.
-///
-/// # Errors
-/// As [`snapshot_from_bytes`], with the file path named in the message.
+/// As [`decode_snapshot`], plus unreadable files, with the file path named
+/// in the message.
 pub fn snapshot_from_file(path: impl AsRef<Path>) -> Result<SavedPredictor> {
     let path = path.as_ref();
     let bytes = std::fs::read(path)
         .map_err(|e| Error::Parse(format!("cannot read {}: {e}", path.display())))?;
-    snapshot_from_bytes(&bytes).map_err(|e| Error::Parse(format!("{}: {e}", path.display())))
+    decode_snapshot(&bytes).map_err(|e| Error::Parse(format!("{}: {e}", path.display())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hls_gnn_core::approach::GnnPredictor;
 
     fn sample_snapshot(classifier: bool) -> SavedPredictor {
         SavedPredictor {
             version: SNAPSHOT_VERSION,
             spec: if classifier { "hier/rgcn" } else { "base/gcn" }.parse().unwrap(),
-            config: TrainConfig::fast(),
+            // The smallest config these eight regressor weights can back.
+            config: TrainConfig {
+                hidden_dim: 1,
+                num_layers: 1,
+                embed_dim: 1,
+                ..TrainConfig::fast()
+            },
             normalizer: SavedNormalizer {
                 mean: [0.25, -1.5, 3.0e-3, 7.125],
                 std: [1.0, 0.5, 2.0, 0.125],
@@ -258,24 +256,18 @@ mod tests {
         }
     }
 
+    /// What every loader does with a file: decode it, then build the model.
+    fn load(bytes: &[u8]) -> Result<GnnPredictor> {
+        GnnPredictor::from_saved(&decode_snapshot(bytes)?)
+    }
+
     #[test]
     fn binary_round_trip_is_exact_with_and_without_classifier() {
         for classifier in [false, true] {
             let saved = sample_snapshot(classifier);
             let bytes = encode_snapshot(&saved).unwrap();
-            let reloaded = decode_snapshot(&Container::from_bytes(&bytes).unwrap()).unwrap();
-            assert_eq!(reloaded, saved);
+            assert_eq!(decode_snapshot(&bytes).unwrap(), saved);
         }
-    }
-
-    #[test]
-    fn auto_detection_reads_both_formats() {
-        let saved = sample_snapshot(true);
-        let binary = encode_snapshot(&saved).unwrap();
-        let json = saved.to_json().unwrap();
-        assert_eq!(snapshot_from_bytes(&binary).unwrap(), saved);
-        assert_eq!(snapshot_from_bytes(json.as_bytes()).unwrap(), saved);
-        assert_eq!(snapshot_from_reader(&binary[..]).unwrap(), saved);
     }
 
     #[test]
@@ -284,39 +276,25 @@ mod tests {
             let mut saved = sample_snapshot(false);
             saved.version = version;
             let bytes = encode_snapshot(&saved).unwrap();
-            let error = snapshot_from_bytes(&bytes).unwrap_err();
+            let error = decode_snapshot(&bytes).unwrap_err();
             assert!(matches!(error, Error::Parse(_)), "version {version} must be refused");
         }
     }
 
     #[test]
     fn weight_count_contradicting_shapes_is_refused() {
-        let saved = sample_snapshot(false);
-        let meta = BinaryMeta {
-            snapshot_version: saved.version,
-            spec: saved.spec,
-            config: saved.config.clone(),
-            regressor_shapes: shapes_of(&saved.regressor),
-            classifier_shapes: None,
-        };
-        let mut writer = ContainerWriter::new();
-        writer.add_bytes("meta", serde_json::to_string(&meta).unwrap().as_bytes());
-        let mut normalizer = Vec::new();
-        normalizer.extend_from_slice(&saved.normalizer.mean);
-        normalizer.extend_from_slice(&saved.normalizer.std);
-        writer.add_f64("normalizer", &normalizer);
-        writer.add_f32("regressor", &[1.0; 3]); // shapes need 8
-        let error = decode_snapshot(&Container::from_bytes(&writer.finish()).unwrap()).unwrap_err();
-        assert!(matches!(&error, Error::Parse(message) if message.contains("shapes")));
+        for data in [vec![1.0; 3], vec![1.0; 9]] {
+            let mut saved = sample_snapshot(false);
+            saved.regressor = vec![SavedTensor { rows: 2, cols: 4, data }];
+            let error = decode_snapshot(&encode_snapshot(&saved).unwrap()).unwrap_err();
+            assert!(matches!(&error, Error::Parse(message) if message.contains("shapes")));
+        }
     }
 
     #[test]
     fn missing_sections_and_bad_normalizer_are_refused() {
         let empty = ContainerWriter::new().finish();
-        assert!(matches!(
-            decode_snapshot(&Container::from_bytes(&empty).unwrap()),
-            Err(Error::Parse(_))
-        ));
+        assert!(matches!(decode_snapshot(&empty), Err(Error::Parse(_))));
 
         let saved = sample_snapshot(false);
         let meta = BinaryMeta {
@@ -330,7 +308,7 @@ mod tests {
         writer.add_bytes("meta", serde_json::to_string(&meta).unwrap().as_bytes());
         writer.add_f64("normalizer", &[0.0; 7]); // must be 8
         writer.add_f32("regressor", &[]);
-        let error = decode_snapshot(&Container::from_bytes(&writer.finish()).unwrap()).unwrap_err();
+        let error = decode_snapshot(&writer.finish()).unwrap_err();
         assert!(matches!(&error, Error::Parse(message) if message.contains("normalizer")));
     }
 
@@ -343,7 +321,40 @@ mod tests {
             b"\xff\xfe\xfd\xfc",
             b"HGNSTORExxxxxxxxxxxxxxxx",
         ] {
-            assert!(snapshot_from_bytes(bytes).is_err());
+            assert!(decode_snapshot(bytes).is_err());
+        }
+    }
+
+    #[test]
+    fn a_shape_whose_size_overflows_is_a_parse_error() {
+        let mut saved = sample_snapshot(false);
+        saved.regressor = vec![SavedTensor { rows: 1 << 33, cols: 1 << 33, data: Vec::new() }];
+        assert!(matches!(load(&encode_snapshot(&saved).unwrap()), Err(Error::Parse(_))));
+    }
+
+    #[test]
+    fn a_zero_layer_config_is_a_parse_error() {
+        let mut saved = sample_snapshot(false);
+        saved.config.num_layers = 0;
+        assert!(matches!(load(&encode_snapshot(&saved).unwrap()), Err(Error::Parse(_))));
+    }
+
+    #[test]
+    fn a_config_larger_than_its_weights_is_refused_before_a_model_is_built() {
+        // One weight cannot back a 2048-wide model; building that model
+        // first would cost ~80 MB and grows with hidden_dim².
+        let mut saved = sample_snapshot(false);
+        saved.config.hidden_dim = 2048;
+        saved.regressor = vec![SavedTensor { rows: 1, cols: 1, data: vec![0.5] }];
+        let error = load(&encode_snapshot(&saved).unwrap()).unwrap_err();
+        assert!(matches!(&error, Error::Parse(message) if message.contains("hidden_dim 2048")));
+        for (layers, embed) in [(3, 1), (1, 5)] {
+            let mut saved = sample_snapshot(false);
+            (saved.config.num_layers, saved.config.embed_dim) = (layers, embed);
+            assert!(matches!(
+                decode_snapshot(&encode_snapshot(&saved).unwrap()),
+                Err(Error::Parse(_))
+            ));
         }
     }
 }

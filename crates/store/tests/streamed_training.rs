@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use hls_gnn_core::dataset::{Dataset, DatasetBuilder, SampleSource};
 use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::train::TrainConfig;
-use hls_gnn_store::{write_dataset, ShardedDataset};
+use hls_gnn_store::{encode_snapshot, write_dataset, ShardedDataset};
 use hls_progen::synthetic::{ProgramFamily, SyntheticConfig};
 
 fn corpus() -> Dataset {
@@ -50,7 +50,12 @@ fn streamed_training_matches_in_ram_training_bit_for_bit_at_any_shard_size() {
     let spec: hls_gnn_core::builder::PredictorSpec = "hier/gcn".parse().unwrap();
     let mut reference = spec.build(&config);
     reference.fit(&dataset, &validation, &config).expect("in-RAM training succeeds");
-    let reference_bytes = reference.save_json().expect("snapshot serialises");
+    // Snapshot bytes, not `PartialEq` on the weights: bytes are bit-exact
+    // (NaN == NaN, 0.0 != -0.0), which f32 equality is not.
+    let snapshot_bytes = |predictor: &dyn Predictor| {
+        encode_snapshot(&predictor.snapshot().expect("snapshot exports")).expect("encodes")
+    };
+    let reference_bytes = snapshot_bytes(&reference);
 
     for shard_size in [1, 3, 10] {
         let dir = temp_dir(&format!("shard-{shard_size}"));
@@ -71,7 +76,7 @@ fn streamed_training_matches_in_ram_training_bit_for_bit_at_any_shard_size() {
         let mut streamed = spec.build(&config);
         streamed.fit_source(&store, &validation, &config).expect("streamed training succeeds");
         assert_eq!(
-            streamed.save_json().expect("snapshot serialises"),
+            snapshot_bytes(&streamed),
             reference_bytes,
             "shard size {shard_size}: streamed training diverged from in-RAM training"
         );

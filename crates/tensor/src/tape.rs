@@ -1,7 +1,7 @@
 //! Index-based arena tape for reverse-mode autodiff.
 //!
-//! One [`Tape`] lives in a thread-local slot. Every op appends a typed
-//! [`Op`] record to a flat node arena and writes its forward value into a
+//! One `Tape` lives in a thread-local slot. Every op appends a typed
+//! `Op` record to a flat node arena and writes its forward value into a
 //! shared `f32` buffer; gradients live in a second flat buffer with the same
 //! offsets. A [`crate::Var`] node handle is just `(generation, index, shape)`
 //! — no per-op heap allocation, no reference counting, no boxed backward
@@ -9,7 +9,7 @@
 //! handle, so the old iterative-teardown `Drop` workaround is gone.
 //!
 //! Parameters (and constants, which behave like non-trainable parameters)
-//! are *not* tape nodes: they live in [`ParamCell`]s owned by their `Var`
+//! are *not* tape nodes: they live in `ParamCell`s owned by their `Var`
 //! handles, so they survive [`reset`] and free when the model drops. Their
 //! accumulated gradients also live in the cell, which is what lets gradients
 //! accumulate across multiple backward passes.
@@ -26,13 +26,13 @@
 //!
 //! Records are appended in topological order (an op's operands are always
 //! earlier records), so one downward sweep over record indices replays every
-//! consumer before its operands. [`Tape::backward`] stamps the root and walks
-//! down from it, replaying only stamped records and stopping once none is
-//! left. An operand's first write in a pass stamps it and zeroes its
-//! gradient region; later writes accumulate (`+=`) straight into it. Nothing
-//! zero-fills the whole gradient buffer: [`reset`] bumps the stamp instead of
-//! clearing gradients, so a node's gradient is readable only for the latest
-//! backward pass that reached it.
+//! consumer before its operands. A backward pass ([`crate::Var::backward`])
+//! stamps the root and walks down from it, replaying only stamped records
+//! and stopping once none is left. An operand's first write in a pass
+//! stamps it and zeroes its gradient region; later writes accumulate (`+=`)
+//! straight into it. Nothing zero-fills the whole gradient buffer: [`reset`]
+//! bumps the stamp instead of clearing gradients, so a node's gradient is
+//! readable only for the latest backward pass that reached it.
 //!
 //! # Determinism
 //!

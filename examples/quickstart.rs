@@ -1,19 +1,21 @@
 //! Quickstart: build a small benchmark, train a predictor selected from a
 //! spec string, batch-predict the held-out designs, and round-trip the
-//! trained model through JSON — the full prediction-engine API in one file.
+//! trained model through `.hgns` bytes — the full prediction-engine API in
+//! one file.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use hls_gnn_core::approach::hls_baseline_mape;
-use hls_gnn_core::builder::{load_predictor, PredictorBuilder};
+use hls_gnn_core::approach::{hls_baseline_mape, GnnPredictor};
+use hls_gnn_core::builder::PredictorBuilder;
 use hls_gnn_core::dataset::DatasetBuilder;
 use hls_gnn_core::predictor::Predictor;
 use hls_gnn_core::runtime::{predict_batch_sharded, ParallelConfig};
 use hls_gnn_core::task::TargetMetric;
 use hls_gnn_core::train::TrainConfig;
+use hls_gnn_store::{decode_snapshot, encode_snapshot};
 use hls_progen::synthetic::ProgramFamily;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,16 +60,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 4. Ship the trained model: save to JSON, reload, and batch-predict the
-    //    whole held-out set with the reloaded predictor. The batch shards
-    //    across HLSGNN_WORKERS threads (each worker rehydrates its own model
-    //    from the snapshot); within each shard, the fused mini-batching
-    //    engine unions up to a mini-batch of graphs per autodiff tape.
+    // 4. Ship the trained model: encode it as `.hgns` bytes (what a model
+    //    file holds), reload, and batch-predict the whole held-out set with
+    //    the reloaded predictor. The batch shards across HLSGNN_WORKERS
+    //    threads (each worker rehydrates its own model from the snapshot);
+    //    within each shard, the fused mini-batching engine unions up to a
+    //    mini-batch of graphs per autodiff tape.
     //    Neither changes a result: predictions are bit-identical at every
     //    worker count and however the graphs are chunked.
-    let snapshot = predictor.save_json()?;
-    println!("\nserialised trained model: {} bytes of JSON", snapshot.len());
-    let served = load_predictor(&snapshot)?;
+    let bytes = encode_snapshot(&predictor.snapshot()?)?;
+    println!("\nencoded trained model: {} bytes of .hgns", bytes.len());
+    let served = GnnPredictor::from_saved(&decode_snapshot(&bytes)?)?;
     let workers = ParallelConfig::from_env();
     let predictions = predict_batch_sharded(&served, &split.test.samples, &workers);
     println!(

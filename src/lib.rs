@@ -10,11 +10,11 @@
 //! - [`gnn_tensor`]: autodiff tensor engine.
 //! - [`gnn`]: message-passing layers and models.
 //! - [`hls_gnn_core`]: the prediction engine — the [`prelude::Predictor`]
-//!   API, builder/registry, batched inference, persistence, and the
+//!   API, builder/registry, batched inference, in-memory snapshots, and the
 //!   experiment harness.
-//! - [`hls_gnn_store`]: binary zero-copy persistence (checksummed container
-//!   snapshots interchangeable with JSON), the sharded streaming dataset
-//!   store, and the `hls-gnn-pack` CLI.
+//! - [`hls_gnn_store`]: persistence — the checksummed `.hgns` container,
+//!   the only on-disk form of a trained predictor, the sharded streaming
+//!   dataset store, and the `hls-gnn-pack` CLI.
 //! - [`hls_gnn_serve`]: the serving subsystem — an HTTP frontend, request
 //!   coalescing onto fused tapes, sharded workers and a prediction cache
 //!   over trained snapshots.
@@ -38,8 +38,8 @@
 //! let predictor = PredictorBuilder::parse("base/gcn")?
 //!     .config(TrainConfig::fast())
 //!     .train(&split.train, &split.validation)?;
-//! let snapshot = predictor.save_json()?;
-//! let served = load_predictor(&snapshot)?;
+//! let bytes = encode_snapshot(&predictor.snapshot()?)?; // a `.hgns` file's contents
+//! let served = GnnPredictor::from_saved(&decode_snapshot(&bytes)?)?;
 //! assert_eq!(
 //!     served.predict_batch(&split.test.samples).len(),
 //!     split.test.len(),
@@ -62,15 +62,13 @@ pub use hls_sim;
 
 /// The curated single-import surface of the prediction engine: everything
 /// needed to build a corpus, construct any predictor from a spec, train it,
-/// batch-predict, and persist/reload trained models.
+/// batch-predict, and write/reload trained models as `.hgns` snapshots.
 pub mod prelude {
     pub use gnn::{GnnKind, GraphBatch, Pooling};
     pub use hls_gnn_core::approach::{
         hls_baseline_mape, seed_averaged_mape, seed_averaged_mape_with, GnnPredictor,
     };
-    pub use hls_gnn_core::builder::{
-        load_predictor, ApproachKind, PredictorBuilder, PredictorSpec,
-    };
+    pub use hls_gnn_core::builder::{ApproachKind, PredictorBuilder, PredictorSpec};
     pub use hls_gnn_core::dataset::{Dataset, DatasetBuilder, GraphSample, SampleSource, Split};
     pub use hls_gnn_core::experiments::{ExperimentConfig, ExperimentScale};
     pub use hls_gnn_core::persist::SavedPredictor;
@@ -85,7 +83,7 @@ pub mod prelude {
     };
     pub use hls_gnn_serve::{ServeConfig, ServiceHandle};
     pub use hls_gnn_store::{
-        encode_snapshot, load_predictor_auto, snapshot_from_file, ShardedDataset, SyntheticSpill,
+        decode_snapshot, encode_snapshot, snapshot_from_file, ShardedDataset, SyntheticSpill,
     };
     pub use hls_progen::synthetic::ProgramFamily;
     pub use hls_sim::{DeviceCatalog, FpgaDevice};

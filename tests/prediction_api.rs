@@ -1,7 +1,8 @@
 //! Integration tests for the unified prediction-engine API: spec parsing,
 //! builder construction, batched inference, and model persistence — including
-//! the full registry round trip (train → save → load → predict_batch matches
-//! the original exactly) for every approach × backbone combination.
+//! the full registry round trip (train → `.hgns` bytes → reload →
+//! predict_batch matches the original exactly) for every approach × backbone
+//! combination.
 
 use hls_gnn::prelude::*;
 
@@ -25,13 +26,23 @@ fn one_epoch_config() -> TrainConfig {
     config
 }
 
+/// The bytes of the `.hgns` file a trained predictor is shipped as.
+fn hgns(predictor: &dyn Predictor) -> Vec<u8> {
+    encode_snapshot(&predictor.snapshot().expect("trained model snapshots")).expect("encodes")
+}
+
+/// What a fresh process does with a model file's bytes.
+fn reload(bytes: &[u8]) -> Result<GnnPredictor, Error> {
+    GnnPredictor::from_saved(&decode_snapshot(bytes)?)
+}
+
 /// The acceptance scenario: every spec in the registry can be parsed from its
-/// string id, trained, saved to JSON, reloaded in a "fresh process"
-/// (`load_predictor` only sees the JSON), and the reloaded model's
+/// string id, trained, written as `.hgns` bytes, reloaded in a "fresh
+/// process" (`reload` only sees the bytes), and the reloaded model's
 /// `predict_batch` output matches the original's per-sample `predict` output
 /// exactly.
 #[test]
-fn every_spec_round_trips_through_json_with_identical_predictions() {
+fn every_spec_round_trips_through_hgns_with_identical_predictions() {
     let (train, validation, test) = tiny_split();
     let config = one_epoch_config();
     for spec in PredictorSpec::all() {
@@ -42,8 +53,15 @@ fn every_spec_round_trips_through_json_with_identical_predictions() {
         assert_eq!(predictor.name(), spec.name());
         predictor.fit(&train, &validation, &config).expect("training succeeds");
 
-        let snapshot = predictor.save_json().expect("trained model serialises");
-        let reloaded = load_predictor(&snapshot).expect("snapshot reloads");
+        let saved = predictor.snapshot().expect("trained model snapshots");
+        let bytes = encode_snapshot(&saved).expect("encodes");
+        assert_eq!(
+            decode_snapshot(&bytes).expect("decodes"),
+            saved,
+            "{}: snapshot drifted",
+            spec.id()
+        );
+        let reloaded = reload(&bytes).expect("snapshot reloads");
         assert_eq!(reloaded.spec(), spec);
 
         let originals: Vec<[f64; 4]> =
@@ -127,23 +145,16 @@ fn corrupt_snapshots_are_rejected() {
     let config = one_epoch_config();
     let mut predictor = PredictorSpec::new(ApproachKind::OffTheShelf, GnnKind::Gcn).build(&config);
     predictor.fit(&train, &validation, &config).expect("training succeeds");
-    let snapshot = predictor.save_json().expect("serialises");
 
-    assert!(load_predictor("{ not json").is_err());
-    assert!(load_predictor("{}").is_err());
-    // Truncating the weight list breaks the architecture check.
-    let truncated = snapshot.replace("\"regressor\": [", "\"regressor\": [\n    ");
-    let truncated = {
-        // Drop one tensor: replace the regressor list with an empty one.
-        let start = truncated.find("\"regressor\"").expect("field present");
-        let mut clipped = truncated[..start].to_owned();
-        clipped.push_str("\"regressor\": [],\n  \"classifier\": null\n}");
-        clipped
-    };
-    assert!(load_predictor(&truncated).is_err());
+    assert!(reload(b"{ not a container").is_err());
+    assert!(reload(&hls_gnn::hls_gnn_store::ContainerWriter::new().finish()).is_err());
+    // Dropping the weight list breaks the architecture check.
+    let mut clipped = predictor.snapshot().expect("snapshots");
+    clipped.regressor.clear();
+    assert!(reload(&encode_snapshot(&clipped).expect("encodes")).is_err());
 }
 
-/// A trained predictor serialises the config it was trained with, so the
+/// A trained predictor records the config it was trained with, so the
 /// snapshot is self-describing even when the caller's config has changed.
 #[test]
 fn snapshots_record_the_training_config() {
@@ -152,36 +163,31 @@ fn snapshots_record_the_training_config() {
     config.hidden_dim = 12; // distinctive
     let mut predictor = PredictorSpec::new(ApproachKind::OffTheShelf, GnnKind::Gcn).build(&config);
     predictor.fit(&train, &validation, &config).expect("training succeeds");
-    let snapshot = predictor.save_json().expect("serialises");
-    assert!(snapshot.contains("\"hidden_dim\": 12"));
-    let reloaded = load_predictor(&snapshot).expect("reloads");
+    let bytes = hgns(&predictor);
+    assert_eq!(decode_snapshot(&bytes).expect("decodes").config.hidden_dim, 12);
+    let reloaded = reload(&bytes).expect("reloads");
     assert_eq!(
         reloaded.predict(&test.samples[0]).expect("predicts"),
         predictor.predict(&test.samples[0]).expect("predicts"),
     );
 }
 
-/// Satellite regression: feeding `load_predictor` truncated or mangled bytes
-/// of a *real* saved model must never panic — every failure surfaces as a
-/// typed error ([`Error::Parse`] at the JSON/schema stage, [`Error::Config`]
-/// when a value-level mutation survives parsing but breaks the architecture
-/// check).
+/// Feeding the loader truncated or mangled bytes of a *real* saved model must
+/// never panic — every failure surfaces as a typed error ([`Error::Parse`]
+/// from the container or the decoder, [`Error::Config`] when a mutation
+/// survives decoding but breaks the architecture check).
 #[test]
 fn mangled_snapshots_fail_with_typed_errors_never_panics() {
     let (train, validation, _) = tiny_split();
     let config = one_epoch_config();
     let mut predictor = PredictorSpec::new(ApproachKind::Hierarchical, GnnKind::Gcn).build(&config);
     predictor.fit(&train, &validation, &config).expect("training succeeds");
-    let snapshot = predictor.save_json().expect("serialises");
+    let bytes = hgns(&predictor);
 
-    // Truncations at a spread of offsets, including inside numbers, strings
-    // and the header.
-    let step = (snapshot.len() / 97).max(1);
-    for cut in (0..snapshot.len()).step_by(step) {
-        // `get` sidesteps char-boundary panics (the JSON is ASCII today, but
-        // this test must not depend on that).
-        let Some(truncated) = snapshot.get(..cut) else { continue };
-        match load_predictor(truncated) {
+    // Truncations at a spread of offsets, including inside the header, the
+    // metadata and the weight blobs.
+    for cut in (0..bytes.len()).step_by((bytes.len() / 97).max(1)) {
+        match reload(&bytes[..cut]) {
             Err(Error::Parse(_) | Error::Config(_)) => {}
             Err(other) => panic!("truncation at {cut} produced unexpected error {other:?}"),
             Ok(_) => panic!("truncation at {cut} must not produce a predictor"),
@@ -190,53 +196,40 @@ fn mangled_snapshots_fail_with_typed_errors_never_panics() {
 
     // Structural mangling: clobber a window of bytes with junk at several
     // positions.
-    for start in (0..snapshot.len().saturating_sub(8)).step_by(snapshot.len() / 23 + 1) {
-        let mut mangled = snapshot.clone().into_bytes();
-        for byte in &mut mangled[start..start + 8] {
-            *byte = b'!';
+    for start in (0..bytes.len().saturating_sub(8)).step_by(bytes.len() / 23 + 1) {
+        let mut mangled = bytes.clone();
+        mangled[start..start + 8].fill(b'!');
+        match reload(&mangled) {
+            Err(Error::Parse(_) | Error::Config(_)) => {}
+            Err(other) => panic!("mangling at {start} produced unexpected error {other:?}"),
+            Ok(_) => panic!("mangling at {start} must not produce a predictor"),
         }
-        let mangled = String::from_utf8_lossy(&mangled).into_owned();
-        assert!(
-            load_predictor(&mangled).is_err(),
-            "mangling at {start} must not produce a predictor"
-        );
     }
 
     // The original still loads after all that (no global state was harmed).
-    assert!(load_predictor(&snapshot).is_ok());
+    assert!(reload(&bytes).is_ok());
 }
 
-/// Satellite: version-less legacy snapshots load as format version 1;
-/// snapshots declaring a newer version are refused with a typed parse error.
+/// Snapshots declaring version 0 (never a valid format) or a newer version
+/// than this build understands are refused with a typed parse error.
 #[test]
-fn snapshot_versioning_accepts_legacy_and_rejects_future_files() {
-    let (train, validation, test) = tiny_split();
+fn snapshot_versioning_rejects_version_zero_and_future_files() {
+    let (train, validation, _) = tiny_split();
     let config = one_epoch_config();
     let mut predictor = PredictorSpec::new(ApproachKind::OffTheShelf, GnnKind::Gcn).build(&config);
     predictor.fit(&train, &validation, &config).expect("training succeeds");
-    let snapshot = predictor.save_json().expect("serialises");
-    assert!(snapshot.contains("\"version\": 1"));
+    let saved = predictor.snapshot().expect("snapshots");
+    assert_eq!(saved.version, 1);
 
-    // A legacy file is the same document without the version field.
-    let legacy: String = snapshot
-        .lines()
-        .filter(|line| !line.contains("\"version\""))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let reloaded = load_predictor(&legacy).expect("legacy snapshot loads");
-    assert_eq!(
-        reloaded.predict(&test.samples[0]).expect("predicts"),
-        predictor.predict(&test.samples[0]).expect("predicts"),
-        "legacy reload must predict identically"
-    );
-
-    // A future version is refused up front with Error::Parse.
-    let future = snapshot.replace("\"version\": 1", "\"version\": 99");
-    match load_predictor(&future) {
-        Err(Error::Parse(message)) => {
-            assert!(message.contains("newer format"), "unhelpful message: {message}")
+    for version in [0, 99] {
+        let bytes = encode_snapshot(&SavedPredictor { version, ..saved.clone() }).expect("encodes");
+        match reload(&bytes) {
+            Err(Error::Parse(message)) => assert!(
+                version == 0 || message.contains("newer format"),
+                "unhelpful message: {message}"
+            ),
+            Err(other) => panic!("version {version} must fail with Error::Parse, got {other:?}"),
+            Ok(_) => panic!("version {version} must not load"),
         }
-        Err(other) => panic!("future version must fail with Error::Parse, got {other:?}"),
-        Ok(_) => panic!("future version must not load"),
     }
 }
