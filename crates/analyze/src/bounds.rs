@@ -8,17 +8,18 @@
 //!   least one cycle plus the longest latency-weighted def-use chain inside
 //!   it.
 //! - [`LoopBounds::min_recurrence_ii`] never exceeds the pipelining
-//!   analysis's recurrence-constrained II: a loop-carried dependence cycle
-//!   must traverse its operator latencies once per iteration.
+//!   analysis's recurrence-constrained II: it is the longest latency path
+//!   from a loop-header phi to its latched value, and that loop-carried
+//!   dependence cycle must traverse its operator latencies once per
+//!   iteration.
 //! - [`LoopBounds::port_pressure_ii`] never exceeds the resource-constrained
 //!   II: a single-ported memory serves one access per cycle, so the most
 //!   contended array bounds the iteration rate.
 //!
-//! Soundness is what makes the bounds usable as machine-learning features
-//! (they are monotone correlates of the labels, never optimistic noise
-//! ceilings) and as a design-space-exploration pre-filter (a point whose
-//! *lower* bound already violates a constraint can be discarded without
-//! lowering or predicting it).
+//! Soundness is what makes the bounds usable as machine-learning features:
+//! they are monotone correlates of the labels, never optimistic noise
+//! ceilings. The analytic-feature ablation reads them that way, and
+//! `hls-gnn-lint --verbose` prints them per function.
 
 use std::collections::HashMap;
 
@@ -120,12 +121,13 @@ pub fn analyze_bounds(
     // Linear scheduling positions: blocks in id order, ops in block order —
     // exactly the order the list scheduler visits them. Def-use edges that go
     // forward in this order are guaranteed to constrain the schedule.
+    // `linear` is the inverse map, the op at each position.
     let mut position = vec![usize::MAX; op_count];
-    let mut cursor = 0usize;
+    let mut linear: Vec<OpId> = Vec::with_capacity(op_count);
     for block in &ir.blocks {
         for &op_id in &block.ops {
-            position[op_id.index()] = cursor;
-            cursor += 1;
+            position[op_id.index()] = linear.len();
+            linear.push(op_id);
         }
     }
 
@@ -156,6 +158,10 @@ pub fn analyze_bounds(
     let mut on_recurrence = vec![false; op_count];
     let mut loops = Vec::with_capacity(nest.loops.len());
     let mut op_port_pressure = vec![0u32; op_count];
+    // Scratch for the recurrence walks, indexed by position minus the start
+    // of the current window and reused across phis.
+    let mut dist: Vec<Option<u32>> = Vec::new();
+    let mut reaches: Vec<bool> = Vec::new();
 
     for info in &nest.loops {
         // --- Recurrence bound -------------------------------------------
@@ -173,56 +179,53 @@ pub fn analyze_bounds(
             if !info.contains(ir.op(latched).block) {
                 continue;
             }
+            // Every op on a position-increasing path from the phi to the
+            // latched value lies in the window `start..=end`; a latched value
+            // placed before the phi closes no such path.
+            let (start, end) = (position[op_id.index()], position[latched.index()]);
+            if end < start || end == usize::MAX {
+                continue;
+            }
+            let window = &linear[start..=end];
 
             // Longest latency-weighted distance from the phi, following only
             // position-increasing edges (those are the ones the scheduler has
             // already resolved when it reaches the user).
-            let mut dist: Vec<Option<u32>> = vec![None; op_count];
-            dist[op_id.index()] = Some(0);
-            let mut order: Vec<OpId> = ir
-                .iter_ops()
-                .filter(|op| position[op.id.index()] != usize::MAX)
-                .map(|op| op.id)
-                .collect();
-            order.sort_by_key(|id| position[id.index()]);
-            for user in &order {
-                if position[user.index()] <= position[op_id.index()] {
-                    continue;
-                }
+            dist.clear();
+            dist.resize(window.len(), None);
+            dist[0] = Some(0);
+            for (offset, user) in window.iter().enumerate().skip(1) {
                 let mut best: Option<u32> = None;
                 for operand in &ir.op(*user).operands {
-                    if position[operand.index()] < position[user.index()] {
-                        if let Some(d) = dist[operand.index()] {
+                    let at = position[operand.index()];
+                    if (start..start + offset).contains(&at) {
+                        if let Some(d) = dist[at - start] {
                             best = Some(best.unwrap_or(0).max(d));
                         }
                     }
                 }
                 if let Some(b) = best {
-                    dist[user.index()] = Some(b + latency[user.index()]);
+                    dist[offset] = Some(b + latency[user.index()]);
                 }
             }
 
-            if let Some(chain) = dist[latched.index()] {
-                min_recurrence_ii = min_recurrence_ii.max(chain.max(1));
-                // Mark the cycle: ops that the phi reaches and that reach the
-                // latched value (backwards over the same forward edges).
-                let mut reaches = vec![false; op_count];
-                reaches[latched.index()] = true;
-                for user in order.iter().rev() {
-                    if !reaches[user.index()] {
-                        continue;
-                    }
-                    for operand in &ir.op(*user).operands {
-                        if position[operand.index()] < position[user.index()]
-                            && dist[operand.index()].is_some()
-                        {
-                            reaches[operand.index()] = true;
-                        }
-                    }
+            let Some(chain) = dist[window.len() - 1] else { continue };
+            min_recurrence_ii = min_recurrence_ii.max(chain.max(1));
+            // Mark the cycle: ops that the phi reaches and that reach the
+            // latched value (backwards over the same forward edges). Only ops
+            // the phi reaches are ever marked, so a marked op is on the cycle.
+            reaches.clear();
+            reaches.resize(window.len(), false);
+            reaches[window.len() - 1] = true;
+            for (offset, user) in window.iter().enumerate().rev() {
+                if !reaches[offset] {
+                    continue;
                 }
-                for op in ir.iter_ops() {
-                    if reaches[op.id.index()] && dist[op.id.index()].is_some() {
-                        on_recurrence[op.id.index()] = true;
+                on_recurrence[user.index()] = true;
+                for operand in &ir.op(*user).operands {
+                    let at = position[operand.index()];
+                    if (start..start + offset).contains(&at) && dist[at - start].is_some() {
+                        reaches[at - start] = true;
                     }
                 }
             }
@@ -285,24 +288,248 @@ pub fn analyze_bounds(
     BoundsReport { min_total_cycles, loops, op_depth, on_recurrence, op_port_pressure }
 }
 
-/// Effective port-pressure II when an array is split across `banks` equal
-/// banks (cyclic or block partitioning): each bank serves one access per
-/// cycle, so pressure divides by the bank count, rounded up.
-pub fn banked_pressure(accesses: u32, banks: u32) -> u32 {
-    accesses.div_ceil(banks.max(1)).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hls_ir::ast::{BinaryOp, Expr, Function, FunctionBuilder, Stmt};
     use hls_ir::lower::lower_function;
-    use hls_ir::types::{ArrayType, ScalarType};
+    use hls_ir::types::{ArrayType, BitWidth, ScalarType, Signedness};
+    use hls_progen::{ProgramFamily, ProgramGenerator, SyntheticConfig};
     use hls_sim::flow::run_flow;
     use hls_sim::pipeline::analyze_loops;
 
     fn decls(func: &Function) -> Vec<(VarId, ValueType)> {
         func.vars().map(|(id, d)| (id, d.ty)).collect()
+    }
+
+    /// The recurrence pass as it ran before the window walk: for every header
+    /// phi it sorts all of the function's ops and walks the whole function.
+    /// Returns each loop's `min_recurrence_ii`, in header order, and the
+    /// `on_recurrence` flags.
+    fn reference_recurrence(
+        ir: &IrFunction,
+        decls: &[(VarId, ValueType)],
+        device: &FpgaDevice,
+    ) -> (Vec<u32>, Vec<bool>) {
+        let op_count = ir.op_count();
+        let latency: Vec<u32> = ir
+            .iter_ops()
+            .map(|op| characterize(op, declared_type(decls, op.array), device).latency)
+            .collect();
+        let mut position = vec![usize::MAX; op_count];
+        let mut cursor = 0usize;
+        for block in &ir.blocks {
+            for &op_id in &block.ops {
+                position[op_id.index()] = cursor;
+                cursor += 1;
+            }
+        }
+
+        let nest = LoopNest::build(ir);
+        let mut on_recurrence = vec![false; op_count];
+        let mut min_recurrence_iis = Vec::with_capacity(nest.loops.len());
+        for info in &nest.loops {
+            let mut min_recurrence_ii = 1u32;
+            for &op_id in &ir.block(info.header).ops {
+                let phi = ir.op(op_id);
+                if phi.opcode != Opcode::Phi || phi.operands.len() < 2 {
+                    continue;
+                }
+                let latched = phi.operands[1];
+                if !info.contains(ir.op(latched).block) {
+                    continue;
+                }
+
+                let mut dist: Vec<Option<u32>> = vec![None; op_count];
+                dist[op_id.index()] = Some(0);
+                let mut order: Vec<OpId> = ir
+                    .iter_ops()
+                    .filter(|op| position[op.id.index()] != usize::MAX)
+                    .map(|op| op.id)
+                    .collect();
+                order.sort_by_key(|id| position[id.index()]);
+                for user in &order {
+                    if position[user.index()] <= position[op_id.index()] {
+                        continue;
+                    }
+                    let mut best: Option<u32> = None;
+                    for operand in &ir.op(*user).operands {
+                        if position[operand.index()] < position[user.index()] {
+                            if let Some(d) = dist[operand.index()] {
+                                best = Some(best.unwrap_or(0).max(d));
+                            }
+                        }
+                    }
+                    if let Some(b) = best {
+                        dist[user.index()] = Some(b + latency[user.index()]);
+                    }
+                }
+
+                if let Some(chain) = dist[latched.index()] {
+                    min_recurrence_ii = min_recurrence_ii.max(chain.max(1));
+                    let mut reaches = vec![false; op_count];
+                    reaches[latched.index()] = true;
+                    for user in order.iter().rev() {
+                        if !reaches[user.index()] {
+                            continue;
+                        }
+                        for operand in &ir.op(*user).operands {
+                            if position[operand.index()] < position[user.index()]
+                                && dist[operand.index()].is_some()
+                            {
+                                reaches[operand.index()] = true;
+                            }
+                        }
+                    }
+                    for op in ir.iter_ops() {
+                        if reaches[op.id.index()] && dist[op.id.index()].is_some() {
+                            on_recurrence[op.id.index()] = true;
+                        }
+                    }
+                }
+            }
+            min_recurrence_iis.push(min_recurrence_ii);
+        }
+        (min_recurrence_iis, on_recurrence)
+    }
+
+    /// [`analyze_bounds`] with its recurrence results taken from
+    /// [`reference_recurrence`] instead.
+    fn reference_bounds(
+        ir: &IrFunction,
+        decls: &[(VarId, ValueType)],
+        device: &FpgaDevice,
+    ) -> BoundsReport {
+        let mut report = analyze_bounds(ir, decls, device);
+        let (min_recurrence_iis, on_recurrence) = reference_recurrence(ir, decls, device);
+        assert_eq!(min_recurrence_iis.len(), report.loops.len());
+        for (bound, ii) in report.loops.iter_mut().zip(min_recurrence_iis) {
+            bound.min_recurrence_ii = ii;
+        }
+        report.on_recurrence = on_recurrence;
+        report
+    }
+
+    /// Which of the window walk's edge cases `ir` exercises: a loop with
+    /// several latches, a recurrence window that holds a whole inner loop,
+    /// and a latched value placed before its phi.
+    fn edge_cases(ir: &IrFunction) -> [bool; 3] {
+        let mut position = vec![usize::MAX; ir.op_count()];
+        for (at, &op_id) in ir.blocks.iter().flat_map(|block| &block.ops).enumerate() {
+            position[op_id.index()] = at;
+        }
+        let nest = LoopNest::build(ir);
+        let mut cases = [false; 3];
+        for info in &nest.loops {
+            cases[0] |= info.latches.len() > 1;
+            for &op_id in &ir.block(info.header).ops {
+                let phi = ir.op(op_id);
+                if phi.opcode != Opcode::Phi || phi.operands.len() < 2 {
+                    continue;
+                }
+                let latched = phi.operands[1];
+                if !info.contains(ir.op(latched).block) {
+                    continue;
+                }
+                let window = position[op_id.index()]..=position[latched.index()];
+                cases[1] |= nest.loops.iter().any(|inner| {
+                    inner.parent == Some(info.header)
+                        && inner
+                            .blocks
+                            .iter()
+                            .flat_map(|block| &ir.block(*block).ops)
+                            .all(|op| window.contains(&position[op.index()]))
+                });
+                cases[2] |= window.is_empty();
+            }
+        }
+        cases
+    }
+
+    /// A loop with two back edges, which the structured front end never
+    /// emits: each iteration steps `i` by 1 and squares `acc`, or steps `i`
+    /// by 2 and adds `i` to `acc`.
+    fn two_latch_loop() -> IrFunction {
+        let (word, flag) = (BitWidth::new(32), BitWidth::new(1));
+        let (signed, unsigned) = (Signedness::Signed, Signedness::Unsigned);
+        let mut ir = IrFunction::new("two_latch");
+        let entry = BlockId::new(0);
+        let header = ir.new_block(1);
+        ir.block_mut(header).is_loop_header = true;
+        let split = ir.new_block(1);
+        let near = ir.new_block(1);
+        let far = ir.new_block(1);
+        let exit = ir.new_block(0);
+
+        let mut constant =
+            |value| ir.push_op(entry, Opcode::Const, word, signed, vec![], None, Some(value));
+        let (zero, one, two, end) = (constant(0), constant(1), constant(2), constant(16));
+        ir.push_op(entry, Opcode::Br, flag, unsigned, vec![], None, None);
+        ir.add_cfg_edge(entry, header);
+
+        let i = ir.push_op(header, Opcode::Phi, word, signed, vec![zero], None, None);
+        let acc = ir.push_op(header, Opcode::Phi, word, signed, vec![zero], None, None);
+        let more = ir.push_op(header, Opcode::ICmp, flag, unsigned, vec![i, end], None, None);
+        ir.push_op(header, Opcode::Br, flag, unsigned, vec![more], None, None);
+        ir.add_cfg_edge(header, split);
+        ir.add_cfg_edge(header, exit);
+
+        let short = ir.push_op(split, Opcode::ICmp, flag, unsigned, vec![i, two], None, None);
+        ir.push_op(split, Opcode::Br, flag, unsigned, vec![short], None, None);
+        ir.add_cfg_edge(split, near);
+        ir.add_cfg_edge(split, far);
+
+        let near_i = ir.push_op(near, Opcode::Add, word, signed, vec![i, one], None, None);
+        let near_acc = ir.push_op(near, Opcode::Mul, word, signed, vec![acc, acc], None, None);
+        ir.push_op(near, Opcode::Br, flag, unsigned, vec![], None, None);
+        ir.add_cfg_edge(near, header);
+
+        let far_i = ir.push_op(far, Opcode::Add, word, signed, vec![i, two], None, None);
+        let far_acc = ir.push_op(far, Opcode::Add, word, signed, vec![acc, i], None, None);
+        ir.push_op(far, Opcode::Br, flag, unsigned, vec![], None, None);
+        ir.add_cfg_edge(far, header);
+
+        ir.op_mut(i).operands.extend([near_i, far_i]);
+        ir.op_mut(acc).operands.extend([near_acc, far_acc]);
+        ir.push_op(exit, Opcode::Ret, flag, unsigned, vec![], None, None);
+        ir
+    }
+
+    #[test]
+    fn window_walk_matches_the_whole_function_reference() {
+        let device = FpgaDevice::default();
+        let mut functions: Vec<Function> =
+            hls_progen::all_kernels().into_iter().map(|kernel| kernel.function).collect();
+        functions.extend(ProgramGenerator::new(SyntheticConfig::control(), 19).generate_many(64));
+        functions
+            .extend(ProgramGenerator::new(SyntheticConfig::straight_line(), 19).generate_many(32));
+        for seed in 0..8 {
+            for family in [ProgramFamily::StraightLine, ProgramFamily::Control] {
+                let config = SyntheticConfig::tiny(family);
+                functions.extend(ProgramGenerator::new(config, seed).generate_many(4));
+            }
+        }
+        let mut corpus: Vec<(IrFunction, Vec<(VarId, ValueType)>)> = functions
+            .iter()
+            .map(|func| (lower_function(func).expect("lowers"), decls(func)))
+            .collect();
+        let two_latch = two_latch_loop();
+        assert_eq!(hls_ir::verify::verify(&two_latch), vec![]);
+        corpus.push((two_latch, Vec::new()));
+
+        let mut covered = [false; 3];
+        for (ir, decls) in &corpus {
+            assert_eq!(
+                analyze_bounds(ir, decls, &device),
+                reference_bounds(ir, decls, &device),
+                "{}",
+                ir.name
+            );
+            for (seen, case) in covered.iter_mut().zip(edge_cases(ir)) {
+                *seen |= case;
+            }
+        }
+        assert_eq!(covered, [true; 3], "[two latches, window holds an inner loop, latched first]");
     }
 
     fn reduction() -> Function {
@@ -410,14 +637,5 @@ mod tests {
         let features = report.node_features(load.id);
         assert!(features[2] >= 2.0, "load feature carries the array pressure");
         assert_eq!(report.op_depth.len(), ir.op_count());
-    }
-
-    #[test]
-    fn banked_pressure_divides_and_saturates() {
-        assert_eq!(banked_pressure(8, 1), 8);
-        assert_eq!(banked_pressure(8, 4), 2);
-        assert_eq!(banked_pressure(8, 3), 3);
-        assert_eq!(banked_pressure(1, 16), 1);
-        assert_eq!(banked_pressure(4, 0), 4);
     }
 }

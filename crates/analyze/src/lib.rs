@@ -11,11 +11,12 @@
 //!   tree, def-use chains, live variables and natural-loop-nest detection;
 //! - the **bound analyses** ([`bounds`]): analytic *lower* bounds on the
 //!   quantities the simulator measures — critical-path cycles from device
-//!   operator latencies, recurrence-constrained minimum II from loop-carried
-//!   dependence cycles, and memory-port pressure per array. Every bound is
-//!   guaranteed to be `<=` the corresponding `hls_sim` ground truth, which
-//!   makes them safe both as GNN features (in the analytic-feature
-//!   ablation) and as a design-space-exploration pre-filter.
+//!   operator latencies, recurrence-constrained minimum II from the longest
+//!   latency path from each loop-header phi to its latched value, and the
+//!   access count of the most contended single-ported array per loop. Every
+//!   bound is guaranteed to be `<=` the corresponding `hls_sim` ground
+//!   truth. The analytic-feature ablation reads them as GNN features and
+//!   `hls-gnn-lint --verbose` prints them.
 
 pub mod bounds;
 pub mod dataflow;

@@ -346,7 +346,8 @@ fn build_graph(ir: &IrFunction, kind: GraphKind) -> IrGraph {
     let cdfg = kind == GraphKind::Cdfg;
     let mut nodes: Vec<IrNode> = Vec::new();
     let mut edges: Vec<IrEdge> = Vec::new();
-    let mut op_to_node: HashMap<OpId, NodeId> = HashMap::new();
+    // Node of each op, indexed by op id; `None` for ops without a node.
+    let mut op_to_node: Vec<Option<NodeId>> = vec![None; ir.op_count()];
 
     // Operation / port / misc nodes.
     for op in ir.iter_ops() {
@@ -369,11 +370,12 @@ fn build_graph(ir: &IrFunction, kind: GraphKind) -> IrGraph {
             op: Some(op.id),
             array: op.array,
         });
-        op_to_node.insert(op.id, id);
+        op_to_node[op.id.index()] = Some(id);
     }
+    let node_of = |op: OpId| op_to_node.get(op.index()).copied().flatten();
 
-    // Block nodes (CDFG only).
-    let mut block_nodes: HashMap<usize, NodeId> = HashMap::new();
+    // Block nodes (CDFG only), indexed by block id.
+    let mut block_nodes: Vec<NodeId> = Vec::new();
     if cdfg && ir.has_control_flow() {
         for block in &ir.blocks {
             let id = NodeId(nodes.len());
@@ -386,16 +388,16 @@ fn build_graph(ir: &IrFunction, kind: GraphKind) -> IrGraph {
                 op: None,
                 array: None,
             });
-            block_nodes.insert(block.id.index(), id);
+            block_nodes.push(id);
         }
     }
 
     // Data edges from operand relationships; a back edge is a use of a value
     // defined later in program order (the phi latch operand).
     for op in ir.iter_ops() {
-        let Some(&dst) = op_to_node.get(&op.id) else { continue };
+        let Some(dst) = node_of(op.id) else { continue };
         for &operand in &op.operands {
-            let Some(&src) = op_to_node.get(&operand) else { continue };
+            let Some(src) = node_of(operand) else { continue };
             edges.push(IrEdge {
                 src,
                 dst,
@@ -412,9 +414,7 @@ fn build_graph(ir: &IrFunction, kind: GraphKind) -> IrGraph {
         match op.opcode {
             Opcode::Load => {
                 if let Some(&store) = last_store.get(&array) {
-                    if let (Some(&src), Some(&dst)) =
-                        (op_to_node.get(&store), op_to_node.get(&op.id))
-                    {
+                    if let (Some(src), Some(dst)) = (node_of(store), node_of(op.id)) {
                         edges.push(IrEdge {
                             src,
                             dst,
@@ -426,9 +426,7 @@ fn build_graph(ir: &IrFunction, kind: GraphKind) -> IrGraph {
             }
             Opcode::Store => {
                 if let Some(&store) = last_store.get(&array) {
-                    if let (Some(&src), Some(&dst)) =
-                        (op_to_node.get(&store), op_to_node.get(&op.id))
-                    {
+                    if let (Some(src), Some(dst)) = (node_of(store), node_of(op.id)) {
                         edges.push(IrEdge {
                             src,
                             dst,
@@ -447,9 +445,9 @@ fn build_graph(ir: &IrFunction, kind: GraphKind) -> IrGraph {
     // terminator -> successor block node (back edge when jumping backwards).
     if cdfg && ir.has_control_flow() {
         for block in &ir.blocks {
-            let block_node = block_nodes[&block.id.index()];
+            let block_node = block_nodes[block.id.index()];
             for &op in &block.ops {
-                if let Some(&node) = op_to_node.get(&op) {
+                if let Some(node) = node_of(op) {
                     let node_kind = nodes[node.0].kind;
                     if node_kind == NodeKind::Operation {
                         edges.push(IrEdge {
@@ -467,10 +465,9 @@ fn build_graph(ir: &IrFunction, kind: GraphKind) -> IrGraph {
                 .iter()
                 .rev()
                 .find(|&&op| ir.op(op).is_control())
-                .and_then(|op| op_to_node.get(op))
-                .copied();
+                .and_then(|&op| node_of(op));
             for &succ in &block.succs {
-                let succ_node = block_nodes[&succ.index()];
+                let succ_node = block_nodes[succ.index()];
                 let is_back_edge = succ.index() <= block.id.index();
                 let src = terminator.unwrap_or(block_node);
                 edges.push(IrEdge { src, dst: succ_node, kind: EdgeKind::Control, is_back_edge });
