@@ -519,9 +519,11 @@ pub const REFERENCE_VITIS_SECONDS: f64 = 300.0;
 pub struct SpeedupRow {
     /// Kernel name.
     pub kernel: String,
-    /// Time of the full (simulated) HLS + implementation flow, in microseconds.
+    /// Time of the full (simulated) HLS + implementation flow, in
+    /// microseconds: the median of warm runs.
     pub hls_flow_us: f64,
-    /// Time of one GNN prediction (graph already extracted), in microseconds.
+    /// Time of one GNN prediction (graph already extracted), in
+    /// microseconds: the median of warm calls.
     pub gnn_inference_us: f64,
     /// `hls_flow_us / gnn_inference_us` — the raw ratio against the simulator.
     pub speedup: f64,
@@ -591,8 +593,27 @@ impl fmt::Display for SpeedupReport {
     }
 }
 
-/// Measures HLS-flow time vs GNN-inference time on a subset of the real-world
-/// kernels (the paper's timeliness argument).
+/// Timed calls per side of a [`SpeedupRow`]; the row reports their median.
+const SPEEDUP_REPEATS: usize = 9;
+
+/// Median wall time in microseconds of [`SPEEDUP_REPEATS`] calls of `call`,
+/// after one untimed call, so neither side is charged its first-call set-up.
+fn warm_median_us<T, E>(
+    mut call: impl FnMut() -> std::result::Result<T, E>,
+) -> std::result::Result<f64, E> {
+    call()?;
+    let mut samples = Vec::with_capacity(SPEEDUP_REPEATS);
+    for _ in 0..SPEEDUP_REPEATS {
+        let start = Instant::now();
+        call()?;
+        samples.push(start.elapsed().as_secs_f64() * 1e6);
+    }
+    samples.sort_by(f64::total_cmp);
+    Ok(samples[SPEEDUP_REPEATS / 2])
+}
+
+/// Measures HLS-flow time vs GNN-inference time on the real-world kernels
+/// (the paper's timeliness argument). Each side is the median of warm calls.
 ///
 /// # Errors
 /// Propagates dataset-construction and training errors.
@@ -606,14 +627,8 @@ pub fn run_speedup(config: &ExperimentConfig) -> Result<SpeedupReport> {
     let kernels = hls_progen::all_kernels();
     let mut rows = Vec::new();
     for (kernel, sample) in kernels.iter().zip(&real.samples) {
-        let start = Instant::now();
-        let _ = run_flow(&kernel.function, &config.device)?;
-        let hls_flow_us = start.elapsed().as_secs_f64() * 1e6;
-
-        let start = Instant::now();
-        let _ = predictor.predict(sample)?;
-        let gnn_inference_us = start.elapsed().as_secs_f64() * 1e6;
-
+        let hls_flow_us = warm_median_us(|| run_flow(&kernel.function, &config.device))?;
+        let gnn_inference_us = warm_median_us(|| predictor.predict(sample))?;
         rows.push(SpeedupRow {
             kernel: kernel.name.clone(),
             hls_flow_us,

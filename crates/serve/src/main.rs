@@ -86,12 +86,13 @@ fn main() {
         |name: &str| service.registry().gauge(name, &[("model", service.model_name())]).get();
     println!(
         "serving {} ({spec}) on http://{} — workers {}, coalesce width {coalesce_width}, \
-         node budget {node_budget}, queue bound {}, cache {}",
+         node budget {node_budget}, queue bound {}, cache {}, matmul kernel {}",
         service.model_name(),
         server.local_addr(),
         gauge("hlsgnn_serve_workers"),
         gauge("hlsgnn_serve_queue_bound"),
         gauge("hlsgnn_serve_cache_capacity"),
+        gnn_tensor::kernel_isa(),
     );
     println!("routes: POST /predict, GET /metrics, GET /debug/slow, GET /healthz, POST /shutdown");
 

@@ -46,7 +46,7 @@ pub mod profile;
 pub mod tape;
 pub mod var;
 
-pub use matrix::Matrix;
+pub use matrix::{kernel_isa, Matrix};
 pub use nn::{he_uniform, xavier_uniform, Embedding, Linear, Mlp};
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use var::Var;

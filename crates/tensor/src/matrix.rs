@@ -121,8 +121,10 @@ impl Matrix {
 
     /// Matrix product `self × other`.
     ///
-    /// Dense, branch-free kernel: cache-blocked over the inner dimension with
-    /// an autovectorizable axpy inner loop.
+    /// Runs the register-tiled kernel of [`kernel_isa`]'s instruction set.
+    /// Each element is the textbook sum, its terms added in ascending inner
+    /// index with a separate multiply and add, so the bits are the same on
+    /// every host.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match.
@@ -133,7 +135,14 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        kernels::matmul(&mut out.data, &self.data, &other.data, self.rows, self.cols, other.cols);
+        kernels::Isa::selected().matmul(
+            &mut out.data,
+            &self.data,
+            &other.data,
+            self.rows,
+            self.cols,
+            other.cols,
+        );
         out
     }
 
@@ -243,70 +252,238 @@ impl Matrix {
     }
 }
 
+/// The instruction set the matmul kernels run on in this process:
+/// `"avx512f"`, `"avx2"` or `"portable"`.
+///
+/// The widest variant the CPU supports is chosen once, by runtime feature
+/// detection; there is no switch. Every variant computes the same bits (see
+/// [`Matrix::matmul`]), so this names a speed, never a result.
+pub fn kernel_isa() -> &'static str {
+    kernels::Isa::selected().name()
+}
+
 /// Slice-level dense kernels shared by [`Matrix`] and the arena tape
 /// ([`crate::tape`]), which stores values and gradients in flat `f32` buffers
 /// and therefore cannot pay for a `Matrix` round trip per op.
 ///
 /// All kernels **accumulate** (`+=`) into `out`; the caller zeroes the
-/// destination when plain assignment is wanted. Within each output element the
-/// reduction order is ascending over the inner dimension, independent of
-/// blocking, so results are bit-identical to the textbook triple loop.
+/// destination when plain assignment is wanted.
+///
+/// The three matrix products run one register-tiled loop (the micro-kernel
+/// of Goto & van de Geijn, "Anatomy of High-Performance Matrix
+/// Multiplication", 2008): an `MR×NR` block of `out` is loaded into
+/// accumulators, every step of the inner dimension adds `a * b` to each, and
+/// the block is stored once. Columns are covered in descending widths (`NR`
+/// down to 1) and leftover rows one at a time, so a narrow output such as a
+/// 3-wide head still runs a tile of its own width. The loop body is compiled
+/// once per [`Isa`].
+///
+/// Each accumulator starts from the destination's value and adds its terms
+/// in ascending inner-dimension order, as a separate multiply and add. No
+/// variant fuses them (`mul_add` rounds once where the textbook loop rounds
+/// twice), so every variant is bit-identical to the textbook triple loop and
+/// a prediction does not depend on the host it ran on.
 pub(crate) mod kernels {
-    /// Inner-dimension block size for [`matmul`]. Chosen so a block of the
-    /// right-hand operand's rows (`K_BLOCK × n` floats) stays L1/L2-resident
-    /// while every output row streams over it.
-    const K_BLOCK: usize = 64;
+    use std::sync::OnceLock;
 
-    /// `out (m×n) += a (m×k) × b (k×n)`, cache-blocked over `k` and
-    /// register-tiled over 4 output rows.
-    ///
-    /// Blocks iterate outermost with `k` ascending within each block, and the
-    /// row tile reuses each loaded `b` row for 4 output rows (≈1.1–1.7×
-    /// over the plain ikj loop, best at the narrow widths GNN layers use).
-    /// Every `(i, j)` element still accumulates in ascending-`k` order, so
-    /// results are bit-identical to the textbook triple loop.
-    pub fn matmul(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(out.len(), m * n);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        let mut k0 = 0;
-        while k0 < k {
-            let k1 = (k0 + K_BLOCK).min(k);
-            let mut i = 0;
-            while i + 4 <= m {
-                let tile = &mut out[i * n..(i + 4) * n];
-                let (r0, rest) = tile.split_at_mut(n);
-                let (r1, rest) = rest.split_at_mut(n);
-                let (r2, r3) = rest.split_at_mut(n);
-                for kk in k0..k1 {
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    let a0 = a[i * k + kk];
-                    let a1 = a[(i + 1) * k + kk];
-                    let a2 = a[(i + 2) * k + kk];
-                    let a3 = a[(i + 3) * k + kk];
-                    let rows =
-                        r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut()).zip(r3.iter_mut());
-                    for ((((o0, o1), o2), o3), &bv) in rows.zip(b_row) {
-                        *o0 += a0 * bv;
-                        *o1 += a1 * bv;
-                        *o2 += a2 * bv;
-                        *o3 += a3 * bv;
+    /// An instruction set the matmul loop is compiled for, with its tile.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Isa {
+        /// 8×32 tiles: sixteen 512-bit accumulators.
+        Avx512f,
+        /// 4×16 tiles: eight 256-bit accumulators.
+        Avx2,
+        /// 4×8 tiles, for any target (SSE2 on baseline x86-64).
+        Portable,
+    }
+
+    impl Isa {
+        /// Every variant, widest first.
+        pub const ALL: [Isa; 3] = [Isa::Avx512f, Isa::Avx2, Isa::Portable];
+
+        /// The widest variant this CPU runs, detected once per process.
+        pub fn selected() -> Isa {
+            static SELECTED: OnceLock<Isa> = OnceLock::new();
+            *SELECTED.get_or_init(|| {
+                Isa::ALL.into_iter().find(|isa| isa.is_supported()).unwrap_or(Isa::Portable)
+            })
+        }
+
+        /// Whether this CPU runs the variant.
+        pub fn is_supported(self) -> bool {
+            match self {
+                Isa::Portable => true,
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => is_x86_feature_detected!("avx2"),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512f => is_x86_feature_detected!("avx512f"),
+                #[cfg(not(target_arch = "x86_64"))]
+                Isa::Avx2 | Isa::Avx512f => false,
+            }
+        }
+
+        /// The name [`super::kernel_isa`] reports.
+        pub fn name(self) -> &'static str {
+            match self {
+                Isa::Avx512f => "avx512f",
+                Isa::Avx2 => "avx2",
+                Isa::Portable => "portable",
+            }
+        }
+
+        /// `out (m×n) += a (m×k) × b (k×n)`.
+        pub fn matmul(self, out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+            debug_assert_eq!(out.len(), m * n);
+            debug_assert_eq!(a.len(), m * k);
+            debug_assert_eq!(b.len(), k * n);
+            self.gemm(Gemm { out, a, a_row: k, a_step: 1, b, m, k, n });
+        }
+
+        /// `out (m×k) += g (m×n) × bᵀ` where `b` is `k×n`. Transposes `b`
+        /// into `bt_scratch` and runs [`Isa::matmul`] over it, because a tile
+        /// reads `NR` adjacent entries of one row of its right operand per
+        /// step: `bᵀ` holds them side by side, `b` a whole row apart each.
+        #[allow(clippy::too_many_arguments)]
+        pub fn matmul_transpose_b(
+            self,
+            out: &mut [f32],
+            g: &[f32],
+            b: &[f32],
+            m: usize,
+            n: usize,
+            k: usize,
+            bt_scratch: &mut Vec<f32>,
+        ) {
+            debug_assert_eq!(b.len(), k * n);
+            bt_scratch.clear();
+            bt_scratch.resize(n * k, 0.0);
+            transpose(bt_scratch, b, n, k);
+            self.matmul(out, g, bt_scratch, m, n, k);
+        }
+
+        /// `out (k×n) += aᵀ × g` where `a` is `m×k` and `g` is `m×n`, without
+        /// materializing the transpose: the tile reads `a` down its columns.
+        pub fn matmul_transpose_a(
+            self,
+            out: &mut [f32],
+            a: &[f32],
+            g: &[f32],
+            m: usize,
+            k: usize,
+            n: usize,
+        ) {
+            debug_assert_eq!(out.len(), k * n);
+            debug_assert_eq!(a.len(), m * k);
+            debug_assert_eq!(g.len(), m * n);
+            self.gemm(Gemm { out, a, a_row: 1, a_step: k, b: g, m: k, k: m, n });
+        }
+
+        /// Runs the product on this variant, or on the portable one if the
+        /// CPU lacks the variant's feature.
+        fn gemm(self, product: Gemm<'_>) {
+            match self {
+                // SAFETY: the guard has just detected AVX-512F on this CPU,
+                // the one feature `gemm_avx512f` is compiled for.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512f if is_x86_feature_detected!("avx512f") => unsafe {
+                    gemm_avx512f(product)
+                },
+                // SAFETY: the guard has just detected AVX2 on this CPU, the one
+                // feature `gemm_avx2` is compiled for.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 if is_x86_feature_detected!("avx2") => unsafe { gemm_avx2(product) },
+                _ => product.run::<4, 8>(),
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn gemm_avx512f(product: Gemm<'_>) {
+        product.run::<8, 32>();
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn gemm_avx2(product: Gemm<'_>) {
+        product.run::<4, 16>();
+    }
+
+    /// One product `out (m×n) += A (m×k) × b (k×n)`, where `A[i][kk]` is
+    /// `a[i * a_row + kk * a_step]`: a row-major `a` has `a_row = k` and
+    /// `a_step = 1`, and reading it transposed swaps the two.
+    struct Gemm<'s> {
+        out: &'s mut [f32],
+        a: &'s [f32],
+        a_row: usize,
+        a_step: usize,
+        b: &'s [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    }
+
+    impl Gemm<'_> {
+        /// The whole product in `MR×NR` tiles. Inlined into each variant's
+        /// entry point, so every variant compiles the same body for its own
+        /// vector width.
+        #[inline(always)]
+        fn run<const MR: usize, const NR: usize>(mut self) {
+            let mut j = self.columns::<MR, NR>(0);
+            if NR > 16 {
+                j = self.columns::<MR, 16>(j);
+            }
+            if NR > 8 {
+                j = self.columns::<MR, 8>(j);
+            }
+            if NR > 4 {
+                j = self.columns::<MR, 4>(j);
+            }
+            j = self.columns::<MR, 3>(j);
+            j = self.columns::<MR, 2>(j);
+            self.columns::<MR, 1>(j);
+        }
+
+        /// Covers every `W`-wide column block from `j` on that fits, all
+        /// rows of each, and returns the first column left over.
+        #[inline(always)]
+        fn columns<const MR: usize, const W: usize>(&mut self, mut j: usize) -> usize {
+            while j + W <= self.n {
+                let mut i = 0;
+                while i + MR <= self.m {
+                    self.tile::<MR, W>(i, j);
+                    i += MR;
+                }
+                while i < self.m {
+                    self.tile::<1, W>(i, j);
+                    i += 1;
+                }
+                j += W;
+            }
+            j
+        }
+
+        /// The `MR×W` block of `out` at `(i, j)`, held in registers across
+        /// the whole inner dimension.
+        #[inline(always)]
+        fn tile<const MR: usize, const W: usize>(&mut self, i: usize, j: usize) {
+            let n = self.n;
+            let mut acc = [[0.0f32; W]; MR];
+            for (r, row) in acc.iter_mut().enumerate() {
+                row.copy_from_slice(&self.out[(i + r) * n + j..][..W]);
+            }
+            for kk in 0..self.k {
+                let b_row = &self.b[kk * n + j..][..W];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = self.a[(i + r) * self.a_row + kk * self.a_step];
+                    for (o, &bv) in row.iter_mut().zip(b_row) {
+                        *o += av * bv;
                     }
                 }
-                i += 4;
             }
-            while i < m {
-                let a_row = &a[i * k + k0..i * k + k1];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    let b_row = &b[(k0 + kk) * n..(k0 + kk + 1) * n];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * bv;
-                    }
-                }
-                i += 1;
+            for (r, row) in acc.iter().enumerate() {
+                self.out[(i + r) * n + j..][..W].copy_from_slice(row);
             }
-            k0 = k1;
         }
     }
 
@@ -318,51 +495,6 @@ pub(crate) mod kernels {
             let a_row = &a[r * rows..(r + 1) * rows];
             for (c, &v) in a_row.iter().enumerate() {
                 out[c * cols + r] = v;
-            }
-        }
-    }
-
-    /// `out (m×k) += g (m×n) × bᵀ` where `b` is `k×n`. Materializes `bᵀ`
-    /// into `bt_scratch` and runs the axpy-form product — a naive per-element
-    /// row-dot is ~3× slower here because a sequential float reduction cannot
-    /// vectorize without reassociation, while the axpy inner loop does.
-    ///
-    /// Each `out` element accumulates its `n` terms in ascending-`n` order
-    /// onto whatever `out` already holds.
-    pub fn matmul_transpose_b(
-        out: &mut [f32],
-        g: &[f32],
-        b: &[f32],
-        m: usize,
-        n: usize,
-        k: usize,
-        bt_scratch: &mut Vec<f32>,
-    ) {
-        debug_assert_eq!(out.len(), m * k);
-        debug_assert_eq!(g.len(), m * n);
-        debug_assert_eq!(b.len(), k * n);
-        bt_scratch.clear();
-        bt_scratch.resize(n * k, 0.0);
-        transpose(bt_scratch, b, n, k);
-        matmul(out, g, bt_scratch, m, n, k);
-    }
-
-    /// `out (k×n) += aᵀ × g` where `a` is `m×k` and `g` is `m×n`, without
-    /// materializing the transpose. Axpy formulation: each `out` element
-    /// accumulates its `m` terms in ascending-`m` order onto whatever `out`
-    /// already holds.
-    pub fn matmul_transpose_a(out: &mut [f32], a: &[f32], g: &[f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(out.len(), k * n);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(g.len(), m * n);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let g_row = &g[i * n..(i + 1) * n];
-            for (j, &aij) in a_row.iter().enumerate() {
-                let out_row = &mut out[j * n..(j + 1) * n];
-                for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                    *o += aij * gv;
-                }
             }
         }
     }
@@ -415,28 +547,84 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
+    /// `out (m×n) += a (m×k) × b (k×n)` as the textbook triple loop: each
+    /// element from its starting value, one multiply and one add per `k`,
+    /// ascending.
+    fn textbook(out: &mut [f32], a: &Matrix, b: &Matrix) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = out[i * n + j];
+                for kk in 0..k {
+                    acc += a.get(i, kk) * b.get(kk, j);
+                }
+                out[i * n + j] = acc;
+            }
+        }
+    }
+
+    /// A `rows×cols` matrix of values in [-1, 1) with full mantissas, so any
+    /// change in rounding or summation order shows in the bits.
+    fn noise(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        Matrix::from_fn(rows, cols, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        })
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        let same = got.len() == want.len()
+            && got.iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "{what} differs from the textbook loop");
+    }
+
     #[test]
-    fn fused_transpose_products_match_materialized_transpose() {
-        let a = Matrix::from_fn(9, 70, |r, c| ((r * 70 + c) % 11) as f32 * 0.25 - 1.0);
-        let b = Matrix::from_fn(9, 70, |r, c| ((r * 70 + c) % 7) as f32 * 0.5 - 1.5);
-        let g = Matrix::from_fn(9, 5, |r, c| ((r * 5 + c) % 5) as f32 - 2.0);
-        // The tape accumulates adjoints into live gradient regions, so both
-        // kernels start from a non-zero destination and must add onto it
-        // exactly like the dense kernel does.
-        let start = |rows, cols| Matrix::from_fn(rows, cols, |r, c| ((r + 2 * c) % 3) as f32 - 1.0);
-        // a × bᵀ : (9×70) × (9×70)ᵀ = 9×9.
-        let mut fused = start(9, 9);
+    fn every_kernel_variant_matches_the_textbook_loop_bit_for_bit() {
+        const SIDES: [usize; 15] = [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 45];
+        let mut shapes = vec![(100, 32, 32), (1500, 37, 32)];
+        for m in SIDES {
+            for k in SIDES {
+                shapes.extend(SIDES.map(|n| (m, k, n)));
+            }
+        }
+        let variants: Vec<kernels::Isa> =
+            kernels::Isa::ALL.into_iter().filter(|isa| isa.is_supported()).collect();
+        assert!(variants.contains(&kernels::Isa::Portable));
+        assert!(variants.contains(&kernels::Isa::selected()));
+        assert_eq!(kernel_isa(), kernels::Isa::selected().name());
+
         let mut scratch = Vec::new();
-        kernels::matmul_transpose_b(fused.data_mut(), a.data(), b.data(), 9, 70, 9, &mut scratch);
-        let mut reference = start(9, 9);
-        kernels::matmul(reference.data_mut(), a.data(), b.transpose().data(), 9, 70, 9);
-        assert_eq!(fused, reference);
-        // aᵀ × g : (9×70)ᵀ × (9×5) = 70×5.
-        let mut fused = start(70, 5);
-        kernels::matmul_transpose_a(fused.data_mut(), a.data(), g.data(), 9, 70, 5);
-        let mut reference = start(70, 5);
-        kernels::matmul(reference.data_mut(), a.transpose().data(), g.data(), 70, 9, 5);
-        assert_eq!(fused, reference);
+        for (m, k, n) in shapes {
+            let a = noise(m, k, 1);
+            let b = noise(k, n, 2);
+            let g = noise(m, n, 3);
+            // Every product starts from a non-zero destination, as the tape's
+            // gradient accumulation does.
+            let start_mn = noise(m, n, 4);
+            let start_kn = noise(k, n, 5);
+            let start_mk = noise(m, k, 6);
+            let mut want = start_mn.data().to_vec();
+            textbook(&mut want, &a, &b);
+            let mut want_ta = start_kn.data().to_vec();
+            textbook(&mut want_ta, &a.transpose(), &g);
+            let mut want_tb = start_mk.data().to_vec();
+            textbook(&mut want_tb, &g, &b.transpose());
+            for isa in &variants {
+                let what = |kernel| format!("{isa:?} {kernel} at m={m} k={k} n={n}");
+                let mut got = start_mn.data().to_vec();
+                isa.matmul(&mut got, a.data(), b.data(), m, k, n);
+                assert_bits(&got, &want, &what("matmul"));
+                let mut got = start_kn.data().to_vec();
+                isa.matmul_transpose_a(&mut got, a.data(), g.data(), m, k, n);
+                assert_bits(&got, &want_ta, &what("matmul_transpose_a"));
+                let mut got = start_mk.data().to_vec();
+                isa.matmul_transpose_b(&mut got, g.data(), b.data(), m, n, k, &mut scratch);
+                assert_bits(&got, &want_tb, &what("matmul_transpose_b"));
+            }
+        }
     }
 
     #[test]

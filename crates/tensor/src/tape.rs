@@ -44,7 +44,7 @@ use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::matrix::{kernels, Matrix};
+use crate::matrix::{kernels::Isa, Matrix};
 use crate::profile::{self, OpKind};
 
 /// A parameter (or constant) leaf: value and accumulated gradient live here,
@@ -574,7 +574,7 @@ impl Tape {
                 let (m, k) = src_dims(nodes, params, a);
                 let av = sv(a);
                 let bv = sv(b);
-                kernels::matmul(out, av.as_slice(), bv.as_slice(), m, k, cols);
+                Isa::selected().matmul(out, av.as_slice(), bv.as_slice(), m, k, cols);
             }
             Op::AddRowBroadcast(a, b) => {
                 let av = sv(a);
@@ -865,9 +865,10 @@ impl Tape {
                 let n = cols;
                 let (av, bv) = (sv(a), sv(b));
                 // d_a += g × bᵀ (bᵀ goes through scratch inside the kernel).
-                dst.with(a, |d| kernels::matmul_transpose_b(d, g, bv.as_slice(), m, n, k, scratch));
+                let isa = Isa::selected();
+                dst.with(a, |d| isa.matmul_transpose_b(d, g, bv.as_slice(), m, n, k, scratch));
                 // d_b += aᵀ × g.
-                dst.with(b, |d| kernels::matmul_transpose_a(d, av.as_slice(), g, m, k, n));
+                dst.with(b, |d| isa.matmul_transpose_a(d, av.as_slice(), g, m, k, n));
             }
             Op::AddRowBroadcast(a, b) => {
                 dst.with(a, |d| axpy(d, g, 1.0));
