@@ -5,17 +5,15 @@
 //!
 //! ```text
 //! cargo run -p hls-gnn-bench --release --bin obs_bench
-//! HLSGNN_SCALE=fast cargo run -p hls-gnn-bench --release --bin obs_bench
 //! ```
 //!
 //! Two claims are gated:
 //!
 //! * **Cost**: with no sink attached, instrumentation must add < 2% to the
-//!   training-run time. Rounds run in adjacent disabled/enabled pairs and the
-//!   gate reads the *median of the per-pair relative deltas*: each pair sits
-//!   in a ~15 ms window, so the frequency/scheduler drift that routinely
-//!   exceeds 2% across a whole arm on a shared single-core runner cancels
-//!   within the pair, and the median discards pairs a noise spike split.
+//!   training-run time, read as the median per-pair delta of
+//!   [`hls_gnn_bench::paired_overhead`]'s 61 adjacent disabled/enabled
+//!   pairs, which alternate the arm that runs first — the same gate
+//!   `tensor_profile` applies to the op profiler.
 //! * **Determinism**: the per-epoch loss history must be bit-identical with
 //!   instrumentation on and off — spans time stages, they never touch the
 //!   numerics.
@@ -26,7 +24,7 @@
 use std::time::Instant;
 
 use gnn::GnnKind;
-use hls_gnn_bench::write_report;
+use hls_gnn_bench::{paired_overhead, write_report, PairedOverhead, OVERHEAD_PAIRS};
 use hls_gnn_core::dataset::DatasetBuilder;
 use hls_gnn_core::encode::FeatureMode;
 use hls_gnn_core::metrics::TargetNormalizer;
@@ -55,19 +53,7 @@ struct ObsBenchReport {
     bit_identical: bool,
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
-fn min(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
 fn main() {
-    let fast = std::env::var("HLSGNN_SCALE").is_ok_and(|scale| scale.trim() == "fast");
-    let rounds = if fast { 7 } else { 15 };
-
     let dataset = DatasetBuilder::new(ProgramFamily::StraightLine)
         .count(48)
         .seed(11)
@@ -97,24 +83,16 @@ fn main() {
         history_enabled.iter().zip(&history_disabled).all(|(a, b)| a.to_bits() == b.to_bits())
             && history_enabled.len() == history_disabled.len();
 
-    let mut enabled_ms = Vec::with_capacity(rounds);
-    let mut disabled_ms = Vec::with_capacity(rounds);
-    let mut pair_deltas = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        hls_gnn_obs::set_enabled(false);
-        let disabled = run().0;
-        hls_gnn_obs::set_enabled(true);
-        let enabled = run().0;
-        pair_deltas.push((enabled - disabled) / disabled * 100.0);
-        disabled_ms.push(disabled);
-        enabled_ms.push(enabled);
-    }
-
-    let min_disabled_ms = min(&disabled_ms);
-    let min_enabled_ms = min(&enabled_ms);
-    let median_disabled_ms = median(&mut disabled_ms);
-    let median_enabled_ms = median(&mut enabled_ms);
-    let overhead_percent = median(&mut pair_deltas);
+    let PairedOverhead {
+        min_disabled_ms,
+        min_enabled_ms,
+        median_disabled_ms,
+        median_enabled_ms,
+        overhead_percent,
+    } = paired_overhead(|enabled| {
+        hls_gnn_obs::set_enabled(enabled);
+        run().0
+    });
     let gate_passed = overhead_percent < GATE_PERCENT && bit_identical;
 
     println!(
@@ -126,7 +104,7 @@ fn main() {
     println!("obs_bench: {}", if gate_passed { "PASS" } else { "FAIL" });
 
     let report = ObsBenchReport {
-        rounds_per_arm: rounds,
+        rounds_per_arm: OVERHEAD_PAIRS,
         min_disabled_ms,
         min_enabled_ms,
         median_disabled_ms,

@@ -14,10 +14,11 @@
 //!   must attribute ≥ 90% of the `train_step` stage-histogram wall time;
 //!   what the tape doesn't see (the `Var` layer's argument checks and index
 //!   copies, dropout mask draws) is reported as the unattributed rest.
-//! * **Cost**: 61 interleaved profiler-off/profiler-on pairs of the same run
-//!   (span instrumentation on in both arms — the production configuration),
-//!   alternating which arm runs first. The median per-pair relative delta
-//!   must stay under 2%, mirroring `obs_bench`'s methodology, and the loss
+//! * **Cost**: [`hls_gnn_bench::paired_overhead`]'s 61 interleaved
+//!   profiler-off/profiler-on pairs of the same run (span instrumentation on
+//!   in both arms — the production configuration), alternating which arm
+//!   runs first. The median per-pair relative delta must stay under 2%, the
+//!   gate `obs_bench` applies to span instrumentation, and the loss
 //!   histories of the two arms must be bit-identical — the profiler only
 //!   times ops, it never touches the numerics.
 //!
@@ -29,7 +30,7 @@ use std::time::Instant;
 
 use gnn::GnnKind;
 use gnn_tensor::profile::{self, OpStats, PhaseStats};
-use hls_gnn_bench::write_report;
+use hls_gnn_bench::{paired_overhead, write_report, PairedOverhead, OVERHEAD_PAIRS};
 use hls_gnn_core::dataset::DatasetBuilder;
 use hls_gnn_core::encode::FeatureMode;
 use hls_gnn_core::metrics::TargetNormalizer;
@@ -42,8 +43,6 @@ use serde::Serialize;
 const COVERAGE_GATE_PERCENT: f64 = 90.0;
 /// Maximum tolerated profiler-enabled overhead, percent (median per-pair).
 const GATE_PERCENT: f64 = 2.0;
-/// Profiler-off/profiler-on pairs behind the overhead median.
-const PAIRS: usize = 61;
 
 #[derive(Debug, Serialize)]
 struct OpRow {
@@ -89,11 +88,6 @@ struct TensorProfileReport {
     overhead_passed: bool,
     bit_identical: bool,
     gate_passed: bool,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
 }
 
 fn ms(ns: u64) -> f64 {
@@ -224,33 +218,13 @@ fn main() {
     let bit_identical = history_enabled.len() == history_disabled.len()
         && history_enabled.iter().zip(&history_disabled).all(|(a, b)| a.to_bits() == b.to_bits());
 
-    let timed = |enabled: bool| {
-        profile::set_enabled(enabled);
-        let ms = run(&gate_config).0;
-        profile::set_enabled(false);
-        ms
-    };
-    let mut enabled_ms_rounds = Vec::with_capacity(PAIRS);
-    let mut disabled_ms_rounds = Vec::with_capacity(PAIRS);
-    let mut pair_deltas = Vec::with_capacity(PAIRS);
-    for pair in 0..PAIRS {
-        // Alternate which arm goes first, so a drift within pairs (a cache
-        // still warming, a neighbour's load fading) cancels over the pairs
-        // instead of always charging the same arm.
-        let (disabled, enabled) = if pair % 2 == 0 {
-            let disabled = timed(false);
-            (disabled, timed(true))
-        } else {
-            let enabled = timed(true);
-            (timed(false), enabled)
-        };
-        pair_deltas.push((enabled - disabled) / disabled * 100.0);
-        disabled_ms_rounds.push(disabled);
-        enabled_ms_rounds.push(enabled);
-    }
-    let median_disabled_ms = median(&mut disabled_ms_rounds);
-    let median_enabled_ms = median(&mut enabled_ms_rounds);
-    let overhead_percent = median(&mut pair_deltas);
+    let PairedOverhead { median_disabled_ms, median_enabled_ms, overhead_percent, .. } =
+        paired_overhead(|enabled| {
+            profile::set_enabled(enabled);
+            let ms = run(&gate_config).0;
+            profile::set_enabled(false);
+            ms
+        });
     let overhead_passed = overhead_percent < GATE_PERCENT;
     let gate_passed = coverage_passed && overhead_passed && bit_identical;
 
@@ -273,7 +247,7 @@ fn main() {
         coverage_passed,
         ops,
         phases,
-        rounds_per_arm: PAIRS,
+        rounds_per_arm: OVERHEAD_PAIRS,
         median_disabled_ms,
         median_enabled_ms,
         overhead_percent,

@@ -20,9 +20,6 @@
 //! ([`seed_averaged_mape`]) and the HLS-report baseline
 //! ([`hls_baseline_mape`]).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::builder::{ApproachKind, PredictorSpec};
 use crate::dataset::{Dataset, GraphSample, SampleSource};
 use crate::metrics::{mape_with_floor, TargetNormalizer};
@@ -32,7 +29,7 @@ use crate::predictor::Predictor;
 use crate::runtime::{self, BatchConfig, ParallelConfig};
 use crate::task::{ResourceClass, TargetMetric};
 use crate::train::{
-    denormalize_row, evaluate_node_classifier, train_node_classifier_source, TrainConfig,
+    evaluate_node_classifier, predict_regressor, train_node_classifier_source, TrainConfig,
 };
 use crate::{Error, Result};
 
@@ -219,7 +216,7 @@ impl GnnPredictor {
     /// Returns [`Error::NotTrained`] before [`Predictor::fit`] and
     /// [`Error::Config`] for approaches without a node-level stage.
     pub fn infer_types(&self, sample: &GraphSample) -> Result<Vec<[f32; 3]>> {
-        Ok(self.classifier_checked()?.predict_types(&[sample]))
+        Ok(self.classifier_checked()?.predict_types(sample))
     }
 
     /// Rebuilds a trained predictor from a snapshot.
@@ -274,8 +271,8 @@ impl GnnPredictor {
         self.classifier.as_ref().ok_or_else(|| Error::NotTrained(self.name()))
     }
 
-    /// Resolves the trained inference state once (the shared fast path used
-    /// by `predict_batch`).
+    /// Resolves the trained regressor and normaliser (`predict_batch` does
+    /// so once per call).
     fn trained_state(&self) -> Result<(&GraphRegressor, &TargetNormalizer)> {
         match (&self.regressor, &self.normalizer) {
             (Some(regressor), Some(normalizer)) => Ok((regressor, normalizer)),
@@ -328,55 +325,6 @@ impl GnnPredictor {
         self.normalizer = Some(normalizer);
         Ok(())
     }
-
-    /// [`Predictor::predict_batch`] with an explicit chunk plan. Each chunk
-    /// of [`BatchConfig::plan_chunks`] runs one fused forward pass per stage
-    /// — the hierarchical approach self-infers the whole chunk's resource
-    /// types in one classifier forward, then regresses the chunk in one
-    /// [`GraphRegressor::forward_batch`]. A design's fused rows do not
-    /// depend on the rest of its chunk, so the node budget only changes the
-    /// cost of a sweep, never its result.
-    pub fn predict_batch_with(
-        &self,
-        samples: &[GraphSample],
-        batch_config: &BatchConfig,
-    ) -> Vec<Result<[f64; TargetMetric::COUNT]>> {
-        // Resolve models, normaliser and the optional classifier once for the
-        // whole batch; the per-chunk loop then only runs forward passes.
-        let (regressor, normalizer) = match self.trained_state() {
-            Ok(state) => state,
-            Err(error) => return samples.iter().map(|_| Err(error.clone())).collect(),
-        };
-        let classifier = if self.spec.approach.uses_classifier() {
-            match self.classifier.as_ref() {
-                Some(classifier) => Some(classifier),
-                None => {
-                    let error = Error::NotTrained(self.name());
-                    return samples.iter().map(|_| Err(error.clone())).collect();
-                }
-            }
-        } else {
-            None
-        };
-        let mut results = Vec::with_capacity(samples.len());
-        let sizes: Vec<usize> = samples.iter().map(GraphSample::num_nodes).collect();
-        let mut start = 0;
-        for length in
-            batch_config.plan_chunks(&sizes, self.config.batch_size, self.config.hidden_dim)
-        {
-            let chunk: Vec<&GraphSample> = samples[start..start + length].iter().collect();
-            start += length;
-            // Hierarchical inference: the only inputs are the IR graphs; the
-            // node-level stage self-infers every node's resource types.
-            let types = classifier.map(|classifier| classifier.predict_types(&chunk));
-            let mut rng = StdRng::seed_from_u64(0);
-            let output = regressor.forward_batch(&chunk, types.as_deref(), false, &mut rng).value();
-            // The fused inference tape is dead once its values are extracted.
-            gnn_tensor::tape::reset();
-            results.extend((0..length).map(|row| Ok(denormalize_row(normalizer, &output, row))));
-        }
-        results
-    }
 }
 
 impl Predictor for GnnPredictor {
@@ -405,7 +353,29 @@ impl Predictor for GnnPredictor {
     }
 
     fn predict_batch(&self, samples: &[GraphSample]) -> Vec<Result<[f64; TargetMetric::COUNT]>> {
-        self.predict_batch_with(samples, &BatchConfig::default())
+        // Resolve models, normaliser and the optional classifier once for the
+        // whole batch; the loop then only runs forward passes.
+        let state = self.trained_state().and_then(|(regressor, normalizer)| {
+            let classifier = if self.spec.approach.uses_classifier() {
+                Some(self.classifier_checked()?)
+            } else {
+                None
+            };
+            Ok((regressor, normalizer, classifier))
+        });
+        let (regressor, normalizer, classifier) = match state {
+            Ok(state) => state,
+            Err(error) => return samples.iter().map(|_| Err(error.clone())).collect(),
+        };
+        samples
+            .iter()
+            .map(|sample| {
+                // Hierarchical inference: the only input is the IR graph; the
+                // node-level stage self-infers every node's resource types.
+                let types = classifier.map(|classifier| classifier.predict_types(sample));
+                Ok(predict_regressor(regressor, normalizer, sample, types.as_deref()))
+            })
+            .collect()
     }
 
     fn snapshot(&self) -> Result<SavedPredictor> {

@@ -24,13 +24,14 @@
 //!   metrics and target normalisation. Every forward pass runs on the fused
 //!   batching engine: [`gnn::GraphBatch`] disjoint-unions a chunk of graphs
 //!   into one block-diagonal super-graph so a single autodiff tape covers
-//!   the whole chunk, and a single graph is a chunk of one.
+//!   the whole chunk. Training fuses mini-batches; inference runs one design
+//!   per forward, a chunk of one.
 //! * [`runtime`] is the deterministic execution layer: the parallel runtime
 //!   (thread-confined workers — the autodiff tape is `!Send` — that train
 //!   and evaluate independent models concurrently and rehydrate [`persist`]
 //!   snapshots per thread to shard batched inference; `HLSGNN_WORKERS`) and
-//!   the fused-batching chunk plan ([`runtime::BatchConfig`]). Results are
-//!   bit-identical for any worker count and chunk plan.
+//!   the training chunk plan ([`runtime::BatchConfig`]). Results are
+//!   bit-identical for any worker count.
 //! * [`experiments`] regenerates every table and figure of the evaluation
 //!   section (Tables 2–5, the DFG-vs-CDFG analysis, the speed-up figure and
 //!   the ablations), driving everything through the [`Predictor`] API — each
@@ -121,6 +122,9 @@ pub enum Error {
     /// subsystem, file loaders) can map parse failures to "bad request"
     /// rather than "server misconfigured".
     Parse(String),
+    /// The model panicked on an input — a broken invariant, caught where a
+    /// long-running caller (a serving worker) contains it to one request.
+    Internal(String),
 }
 
 impl fmt::Display for Error {
@@ -131,6 +135,7 @@ impl fmt::Display for Error {
             Error::NotTrained(msg) => write!(f, "model not trained: {msg}"),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
             Error::Parse(msg) => write!(f, "parse error: {msg}"),
+            Error::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

@@ -193,29 +193,20 @@ impl NodeClassifierModel {
         self.kind
     }
 
-    /// Forward pass over a chunk of samples producing one row of three
-    /// logits per node, rows in sample order then node order. Like
-    /// [`GraphRegressor::forward_batch`] the chunk is fused into one
-    /// super-graph (a single sample is a batch of one), and at inference a
-    /// sample's rows do not depend on the rest of the chunk.
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty.
-    pub fn forward(&self, samples: &[&GraphSample], training: bool, rng: &mut StdRng) -> Var {
-        let batch = fuse(samples);
-        let features = self.encoder.encode_batch(samples, None);
+    /// Forward pass over one design producing one row of three logits per
+    /// node, in node order. The classifier trains and infers one graph per
+    /// tape, so its forward is a fused batch of one.
+    pub fn forward(&self, sample: &GraphSample, training: bool, rng: &mut StdRng) -> Var {
+        let batch = fuse(&[sample]);
+        let features = self.encoder.encode_batch(&[sample], None);
         let embeddings = self.stack.forward(batch.graph(), &features, training, rng);
         self.head.forward(&embeddings)
     }
 
-    /// Predicted resource-type flags (0/1) for every node of the chunk, in
-    /// [`NodeClassifierModel::forward`] row order, thresholding the logits at
-    /// zero (sigmoid 0.5).
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty.
-    pub fn predict_types(&self, samples: &[&GraphSample]) -> Vec<[f32; 3]> {
-        let logits = self.forward(samples, false, &mut StdRng::seed_from_u64(0)).value();
+    /// Predicted resource-type flags (0/1) for every node of one design, in
+    /// node order, thresholding the logits at zero (sigmoid 0.5).
+    pub fn predict_types(&self, sample: &GraphSample) -> Vec<[f32; 3]> {
+        let logits = self.forward(sample, false, &mut StdRng::seed_from_u64(0)).value();
         // Single-use inference tape: recycle its buffers right away.
         gnn_tensor::tape::reset();
         (0..logits.rows())
@@ -290,9 +281,9 @@ mod tests {
         let sample = sample();
         let model = NodeClassifierModel::new(GnnKind::GraphSage, &config);
         let mut rng = StdRng::seed_from_u64(1);
-        let logits = model.forward(&[&sample], false, &mut rng);
+        let logits = model.forward(&sample, false, &mut rng);
         assert_eq!(logits.shape(), (sample.num_nodes(), ResourceClass::COUNT));
-        let types = model.predict_types(&[&sample]);
+        let types = model.predict_types(&sample);
         assert_eq!(types.len(), sample.num_nodes());
         assert!(types.iter().flatten().all(|&flag| flag == 0.0 || flag == 1.0));
         assert_eq!(model.kind(), GnnKind::GraphSage);

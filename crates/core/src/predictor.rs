@@ -66,12 +66,11 @@ pub trait Predictor {
 
     /// Predicts the raw `[DSP, LUT, FF, CP]` values for every design in a
     /// batch. This is the primary inference entry point: trained state is
-    /// resolved once per call and shared across the whole batch, and the
-    /// fused mini-batching engine unions up to a mini-batch of graphs per
-    /// forward tape (see [`crate::runtime::BatchConfig`]), so predicting `n`
-    /// designs costs one setup plus about `⌈n / batch_size⌉` fused forward
-    /// passes. A design's fused rows do not depend on the rest of its chunk,
-    /// so the result never depends on chunk boundaries.
+    /// resolved once per call and shared across the whole batch, then each
+    /// design runs alone through one forward pass per stage, so a design's
+    /// result never depends on the rest of the batch. (Fusing designs into
+    /// one tape does not pay at inference: cost scales with nodes and edges,
+    /// not with the number of forwards.)
     fn predict_batch(&self, samples: &[GraphSample]) -> Vec<Result<[f64; TargetMetric::COUNT]>>;
 
     /// Predicts the raw `[DSP, LUT, FF, CP]` values of one design. Delegates

@@ -116,17 +116,16 @@ impl Default for ParallelConfig {
     }
 }
 
-/// Chunk planning for the fused graph mini-batching engine.
+/// Chunk planning for fused training mini-batches.
 ///
-/// Every forward pass runs on a *chunk* of graphs that [`gnn::GraphBatch`]
-/// disjoint-unions into one block-diagonal super-graph, so a chunk costs one
-/// forward/backward tape however many graphs it holds; a single graph is a
-/// chunk of one. A chunk holds at most one mini-batch
-/// (`TrainConfig::batch_size` graphs) and at most the node budget. Chunking
-/// never changes the SGD protocol — mini-batch boundaries, shuffling and
-/// loss scaling follow `TrainConfig::batch_size` exactly — and never changes
-/// an inference result, since a graph's fused rows do not depend on the rest
-/// of its chunk.
+/// A training step runs the regressor on *chunks* of graphs that
+/// [`gnn::GraphBatch`] disjoint-unions into one block-diagonal super-graph,
+/// so a chunk costs one forward/backward tape however many graphs it holds.
+/// A chunk holds at most one mini-batch (`TrainConfig::batch_size` graphs)
+/// and at most the node budget. Chunking never changes the SGD protocol —
+/// mini-batch boundaries, shuffling and loss scaling follow
+/// `TrainConfig::batch_size` exactly. Inference does not chunk: it runs one
+/// design per forward ([`Predictor::predict_batch`]).
 ///
 /// The default derives the node budget from the hidden dimension;
 /// [`BatchConfig::with_node_budget`] pins it, which frozen protocols (the

@@ -275,8 +275,10 @@ fn train_loop<S: SampleSource + ?Sized>(
 }
 
 /// Predicts the raw `[DSP, LUT, FF, CP]` values for one sample, run as a
-/// batch of one. `type_override` carries one self-inferred resource-type
-/// triple per node (the knowledge-infused inference path).
+/// batch of one — the regressor stage of every inference
+/// ([`crate::Predictor::predict_batch`] calls it per design).
+/// `type_override` carries one self-inferred resource-type triple per node
+/// (the knowledge-infused inference path).
 pub fn predict_regressor(
     model: &GraphRegressor,
     normalizer: &TargetNormalizer,
@@ -288,17 +290,7 @@ pub fn predict_regressor(
     // Inference tapes are single-use; recycle immediately so long-running
     // callers (the serve workers) stay at steady-state memory.
     gnn_tensor::tape::reset();
-    denormalize_row(normalizer, &output, 0)
-}
-
-/// Maps one row of a `B × 4` normalised prediction matrix back to raw
-/// target values.
-pub(crate) fn denormalize_row(
-    normalizer: &TargetNormalizer,
-    output: &Matrix,
-    row: usize,
-) -> [f64; TargetMetric::COUNT] {
-    normalizer.denormalize(&std::array::from_fn(|col| output.get(row, col)))
+    normalizer.denormalize(&std::array::from_fn(|col| output.get(0, col)))
 }
 
 /// Per-target MAPE of a regressor over a dataset. An empty dataset evaluates
@@ -366,7 +358,7 @@ pub fn train_node_classifier_source(
                 });
             // One graph per tape: the loss is weighted per graph, not
             // per node.
-            let logits = model.forward(&[sample], true, rng);
+            let logits = model.forward(sample, true, rng);
             let loss = logits.bce_with_logits(&labels).scale(1.0 / batch.len() as f32);
             *epoch_loss += f64::from(loss.scalar_value()) * batch.len() as f64;
             loss.backward();
@@ -384,7 +376,7 @@ pub fn evaluate_node_classifier(
     let mut labels: Vec<Vec<f64>> = vec![Vec::new(); ResourceClass::COUNT];
     let mut rng = StdRng::seed_from_u64(0);
     for sample in &dataset.samples {
-        let logits = model.forward(&[sample], false, &mut rng).value();
+        let logits = model.forward(sample, false, &mut rng).value();
         gnn_tensor::tape::reset();
         for node in 0..sample.num_nodes() {
             for class in 0..ResourceClass::COUNT {

@@ -13,8 +13,8 @@
 //! * **generation-batched inference** — all not-yet-predicted candidates of
 //!   a generation go through
 //!   [`hls_gnn_core::runtime::predict_batch_sharded`] in one call, sharding
-//!   across `HLSGNN_WORKERS` threads with fused tapes inside each shard, and
-//!   therefore bit-identical results at any worker count;
+//!   across `HLSGNN_WORKERS` threads, each predicting its shard one design
+//!   per forward, and therefore bit-identical results at any worker count;
 //! * **device-constraint annotation** — every evaluated point carries its
 //!   [`FpgaDevice::resource_utilization`] ratios and the total capacity
 //!   violation used by constrained domination.

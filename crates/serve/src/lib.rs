@@ -13,18 +13,17 @@
 //!   hand-rolled parser ([`http`]), accepting JSON prediction requests plus
 //!   `/metrics`: the Prometheus-style text exposition of the service's
 //!   [`hls_gnn_obs`] registry, the one record of every serving count.
-//! * [`queue`] — the bounded coalescing queue: concurrent in-flight requests
-//!   are drained into one fused micro-batch, so serving amortises tape
-//!   construction exactly like training does (the `GraphBatch` engine,
-//!   including the model's node budget). A full queue sheds requests with
-//!   503.
+//! * [`queue`] — the bounded FIFO request queue: workers pop one request at
+//!   a time, and a full queue sheds requests with 503.
 //! * [`service`] — the sharded worker pool behind the embeddable
 //!   [`ServiceHandle`]: N thread-confined workers each rehydrate the model
 //!   from a `SavedPredictor` snapshot (the autodiff engine's thread-local
-//!   arena tape is `!Send`, so it never crosses threads) and pull
-//!   micro-batches from the queue. Inference resets its tape after every
-//!   batch, so a long-running worker stays at steady-state memory — the
-//!   arenas are recycled, not reallocated, per request.
+//!   arena tape is `!Send`, so it never crosses threads), pop requests and
+//!   predict each one alone, one design per forward. Inference resets its
+//!   tape after every forward, so a long-running worker stays at
+//!   steady-state memory — the arenas are recycled, not reallocated, per
+//!   request. A panic inside the model fails only its own request (500);
+//!   the worker keeps serving.
 //! * [`cache`] — a bounded LRU prediction cache keyed by a canonical content
 //!   fingerprint ([`fingerprint`], re-exported from
 //!   [`hls_gnn_core::fingerprint`] — the same memoisation key the DSE
@@ -38,11 +37,10 @@
 //! * [`client`] — a minimal blocking HTTP client for the load generator,
 //!   tests and examples.
 //!
-//! Because inference is deterministic and a design's fused rows do not
-//! depend on the rest of its micro-batch, **served predictions are
-//! bit-identical to a direct [`hls_gnn_core::Predictor::predict_batch`]
-//! call** on the same graphs — for any worker count, any coalescing pattern,
-//! and with the cache on or off.
+//! Because inference is deterministic and runs one design per forward,
+//! **served predictions are bit-identical to a direct
+//! [`hls_gnn_core::Predictor::predict_batch`] call** on the same graphs — for
+//! any worker count, any arrival order, and with the cache on or off.
 //!
 //! # In-process quick start
 //!
@@ -88,7 +86,7 @@ pub use cache::PredictionCache;
 pub use client::{HttpClient, HttpReply};
 pub use fingerprint::{sample_fingerprint, Fingerprint};
 pub use protocol::{ErrorResponse, PredictRequest, PredictResponse, SlowRequestsResponse};
-pub use queue::{CoalescingQueue, SubmitError};
+pub use queue::{BoundedQueue, SubmitError};
 pub use reqlog::{Outcome, RequestLog, RequestRecord};
 pub use server::HttpServer;
 pub use service::{ServeConfig, ServeError, Served, ServiceHandle};

@@ -9,8 +9,8 @@
 //! address, default `127.0.0.1:7878`), `HLSGNN_SERVE_WORKERS`,
 //! `HLSGNN_SERVE_CACHE`, `HLSGNN_SERVE_QUEUE`, `HLSGNN_SERVE_SLOW_US`
 //! (slow-request threshold for `GET /debug/slow`), `HLSGNN_SERVE_ACCESS_LOG`
-//! (0 silences the per-request stderr access log). Requests are coalesced up
-//! to the snapshot's training batch size.
+//! (0 silences the per-request stderr access log). Each worker predicts one
+//! request per forward pass.
 //! `POST /shutdown` stops the server gracefully. On panic, the in-memory
 //! flight recorder is dumped to stderr and `results/flightrec.json`.
 
@@ -18,7 +18,6 @@ use hls_gnn_core::builder::PredictorBuilder;
 use hls_gnn_core::dataset::DatasetBuilder;
 use hls_gnn_core::persist::SavedPredictor;
 use hls_gnn_core::predictor::Predictor;
-use hls_gnn_core::runtime::BatchConfig;
 use hls_gnn_core::train::TrainConfig;
 use hls_gnn_serve::{HttpServer, ServeConfig, ServiceHandle};
 use hls_progen::synthetic::ProgramFamily;
@@ -69,8 +68,6 @@ fn main() {
     };
 
     let spec = snapshot.spec.id();
-    let coalesce_width = snapshot.config.batch_size;
-    let node_budget = BatchConfig::default().node_budget(snapshot.config.hidden_dim);
     let config = ServeConfig::from_env();
     let service = ServiceHandle::start(snapshot, &config)
         .unwrap_or_else(|error| fail(&format!("cannot start the service: {error}")));
@@ -85,8 +82,8 @@ fn main() {
     let gauge =
         |name: &str| service.registry().gauge(name, &[("model", service.model_name())]).get();
     println!(
-        "serving {} ({spec}) on http://{} — workers {}, coalesce width {coalesce_width}, \
-         node budget {node_budget}, queue bound {}, cache {}, matmul kernel {}",
+        "serving {} ({spec}) on http://{} — workers {}, queue bound {}, cache {}, \
+         matmul kernel {}",
         service.model_name(),
         server.local_addr(),
         gauge("hlsgnn_serve_workers"),

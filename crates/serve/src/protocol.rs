@@ -7,7 +7,7 @@
 //! which the service lowers through the HLS flow on first use and then
 //! memoises. Responses echo the design name and report the raw
 //! `[DSP, LUT, FF, CP]` prediction plus serving metadata (cache hit,
-//! coalesced batch size, latency).
+//! requests computed, latency).
 
 use serde::{Deserialize, Serialize};
 
@@ -53,8 +53,8 @@ pub struct PredictResponse {
     pub prediction: [f64; TargetMetric::COUNT],
     /// True when the prediction came from the cache.
     pub cached: bool,
-    /// How many requests shared the fused micro-batch that computed this
-    /// prediction (0 for cache hits — nothing was computed).
+    /// Requests the forward pass that computed this prediction served: 1
+    /// when computed, 0 for cache hits (nothing was computed).
     pub coalesced: usize,
     /// Server-side latency in microseconds, from admission to completion.
     pub latency_us: u64,
@@ -75,10 +75,6 @@ pub struct SlowRequestBody {
     pub id: u64,
     /// `served`, `cache_hit`, `shed` or `error`.
     pub outcome: String,
-    /// Position inside the fused micro-batch (0 for cache hits and shed).
-    pub batch_index: usize,
-    /// Requests sharing that micro-batch (0 for cache hits and shed).
-    pub coalesced: usize,
     /// Admission to worker pick-up, microseconds.
     pub queue_wait_us: u64,
     /// Worker pick-up to reply, microseconds.
@@ -92,8 +88,6 @@ impl From<&RequestRecord> for SlowRequestBody {
         SlowRequestBody {
             id: record.id,
             outcome: record.outcome.name().to_owned(),
-            batch_index: record.batch_index,
-            coalesced: record.coalesced,
             queue_wait_us: record.queue_wait_us,
             service_us: record.service_us,
             latency_us: record.latency_us,

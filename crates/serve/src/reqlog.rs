@@ -4,8 +4,7 @@
 //! Every request admitted to the service gets a monotonic request id and,
 //! when it resolves, a [`RequestRecord`] capturing where its latency went:
 //! queue wait (admission to worker pick-up), service time (pick-up to
-//! reply), its position and company inside the fused micro-batch, and the
-//! outcome. Records of requests at or above the configured threshold land in
+//! reply), and the outcome. Records of requests at or above the configured threshold land in
 //! a fixed-size ring, so a stuck or slow deployment can be diagnosed from
 //! `GET /debug/slow` without grepping logs (a threshold of 0 retains every
 //! request).
@@ -21,7 +20,7 @@ pub const SLOW_CAPACITY: usize = 64;
 /// How a request left the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// Computed in a fused micro-batch and answered.
+    /// Computed by a worker and answered.
     Served,
     /// Answered from the prediction cache without touching the queue.
     CacheHit,
@@ -50,10 +49,6 @@ pub struct RequestRecord {
     pub id: u64,
     /// How the request resolved.
     pub outcome: Outcome,
-    /// Position inside the fused micro-batch (0 for cache hits and shed).
-    pub batch_index: usize,
-    /// Requests sharing that micro-batch (0 for cache hits and shed).
-    pub coalesced: usize,
     /// Admission to worker pick-up, microseconds.
     pub queue_wait_us: u64,
     /// Worker pick-up to reply, microseconds.
@@ -96,13 +91,11 @@ impl RequestLog {
     pub fn record(&self, record: RequestRecord) -> bool {
         if self.access_log {
             eprintln!(
-                "hls-gnn-serve: access id={} model={} outcome={} batch_index={} coalesced={} \
-                 queue_wait_us={} service_us={} latency_us={}",
+                "hls-gnn-serve: access id={} model={} outcome={} queue_wait_us={} service_us={} \
+                 latency_us={}",
                 record.id,
                 self.model,
                 record.outcome.name(),
-                record.batch_index,
-                record.coalesced,
                 record.queue_wait_us,
                 record.service_us,
                 record.latency_us,
@@ -133,8 +126,6 @@ mod tests {
         RequestRecord {
             id,
             outcome: Outcome::Served,
-            batch_index: 0,
-            coalesced: 1,
             queue_wait_us: 0,
             service_us: latency_us,
             latency_us,

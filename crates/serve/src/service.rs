@@ -1,4 +1,4 @@
-//! The in-process prediction service: coalescing queue + sharded workers +
+//! The in-process prediction service: bounded queue + sharded workers +
 //! prediction cache behind an embeddable [`ServiceHandle`].
 //!
 //! # Architecture
@@ -6,25 +6,22 @@
 //! * Frontend threads (HTTP connections, tests, the load generator) call
 //!   [`ServiceHandle::predict_sample`]. The request is fingerprinted
 //!   ([`crate::fingerprint::sample_fingerprint`]); a cache hit returns
-//!   immediately, a miss is admitted to the bounded
-//!   [`crate::queue::CoalescingQueue`] (or shed with
-//!   [`ServeError::Overloaded`] when the queue is full).
+//!   immediately, a miss is admitted to the [`crate::queue::BoundedQueue`]
+//!   (or shed with [`ServeError::Overloaded`] when the queue is full).
 //! * N worker threads each rehydrate their own model from the shared
 //!   [`SavedPredictor`] snapshot — the autodiff tape is `Rc`-based and
 //!   `!Send`, so live models never cross threads; only the plain-data
 //!   snapshot does (the same discipline as the training runtime). Each
-//!   worker drains a micro-batch (bounded by the snapshot's training batch
-//!   size and the model's node budget) and runs it through
-//!   [`Predictor::predict_batch`], so concurrent requests share one fused
-//!   autodiff tape exactly like training mini-batches do; a lone request is
-//!   a batch of one.
-//! * Because a design's fused rows do not depend on the rest of its batch,
-//!   coalescing never changes *what* is predicted — served results
-//!   are bit-identical to a direct `predict_batch` call on the same graphs,
-//!   no matter how requests happened to batch, which worker took them, or
-//!   whether the cache was involved.
+//!   worker pops one request and predicts it with [`Predictor::predict`],
+//!   one design per forward. A panic inside the model is contained to its
+//!   request, which is answered with [`ServeError::Model`]; the worker
+//!   resets its tape and keeps serving.
+//! * Served results are therefore bit-identical to a direct `predict_batch`
+//!   call on the same graphs, whichever worker took a request and whether
+//!   the cache was involved.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -34,7 +31,6 @@ use hls_gnn_core::approach::GnnPredictor;
 use hls_gnn_core::dataset::GraphSample;
 use hls_gnn_core::persist::SavedPredictor;
 use hls_gnn_core::predictor::Predictor;
-use hls_gnn_core::runtime::BatchConfig;
 use hls_gnn_core::task::TargetMetric;
 use hls_gnn_obs::{Counter, Gauge, Histogram, Registry};
 use hls_ir::graph::GraphKind;
@@ -43,7 +39,7 @@ use hls_sim::FpgaDevice;
 use crate::cache::PredictionCache;
 use crate::fingerprint::{sample_fingerprint, Fingerprint};
 use crate::protocol::{PredictRequest, SlowRequestsResponse};
-use crate::queue::{CoalescingQueue, SubmitError};
+use crate::queue::{BoundedQueue, SubmitError};
 use crate::reqlog::{Outcome, RequestLog, RequestRecord};
 
 /// Serving-layer errors.
@@ -87,8 +83,6 @@ impl From<hls_gnn_core::Error> for ServeError {
 
 /// Service configuration. Every field but `worker_delay` also has an
 /// `HLSGNN_SERVE_*` environment variable (see [`ServeConfig::from_env`]).
-/// The coalescing width is no knob: it is the snapshot's training batch
-/// size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads; 0 = one per available hardware thread.
@@ -98,7 +92,7 @@ pub struct ServeConfig {
     /// Queue admission bound (requests waiting); beyond it requests are shed
     /// with 503. Clamped to at least 1.
     pub queue_bound: usize,
-    /// Artificial per-micro-batch delay, for load/shedding tests. Set only
+    /// Artificial per-request delay, for load/shedding tests. Set only
     /// in code, never from the environment; zero in production.
     pub worker_delay: Duration,
     /// Requests at or above this end-to-end latency (microseconds) are
@@ -182,10 +176,9 @@ pub struct Served {
     pub prediction: [f64; TargetMetric::COUNT],
     /// True when the prediction came from the cache.
     pub cached: bool,
-    /// Requests that shared the computing micro-batch (0 for cache hits).
+    /// Requests the computing forward pass served: 1 when computed, 0 for
+    /// cache hits.
     pub coalesced: usize,
-    /// Position inside the fused micro-batch (0 for cache hits).
-    pub batch_index: usize,
     /// Admission to worker pick-up (zero for cache hits).
     pub queue_wait: Duration,
     /// Admission-to-completion latency.
@@ -199,10 +192,6 @@ struct Job {
     enqueued: Instant,
     reply: mpsc::Sender<Result<Served, ServeError>>,
 }
-
-/// Coalesce-width buckets: exact up to 8, then coarser (widths are small
-/// integers bounded by the snapshot's batch size).
-const WIDTH_BUCKETS: [u64; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128];
 
 /// The service's metric handles, all registered in its per-service
 /// [`Registry`] under a `model` label — the only record of the service's
@@ -218,7 +207,6 @@ struct ServeMetrics {
     cache_evictions: Arc<Counter>,
     latency_us: Arc<Histogram>,
     queue_wait_us: Arc<Histogram>,
-    coalesce_width: Arc<Histogram>,
     queue_depth: Arc<Gauge>,
     queue_bound: Arc<Gauge>,
     cache_entries: Arc<Gauge>,
@@ -240,11 +228,6 @@ impl ServeMetrics {
             cache_evictions: registry.counter("hlsgnn_serve_cache_evictions_total", labels),
             latency_us: registry.histogram("hlsgnn_serve_latency_us", labels),
             queue_wait_us: registry.histogram("hlsgnn_serve_queue_wait_us", labels),
-            coalesce_width: registry.histogram_with(
-                "hlsgnn_serve_coalesce_width",
-                labels,
-                &WIDTH_BUCKETS,
-            ),
             queue_depth: registry.gauge("hlsgnn_serve_queue_depth", labels),
             queue_bound: registry.gauge("hlsgnn_serve_queue_bound", labels),
             cache_entries: registry.gauge("hlsgnn_serve_cache_entries", labels),
@@ -261,7 +244,7 @@ impl ServeMetrics {
 struct ServiceInner {
     snapshot: SavedPredictor,
     model: String,
-    queue: CoalescingQueue<Job>,
+    queue: BoundedQueue<Job>,
     cache: Mutex<PredictionCache>,
     registry: Arc<Registry>,
     metrics: ServeMetrics,
@@ -309,7 +292,7 @@ impl ServiceHandle {
             Arc::clone(&metrics.cache_misses),
             Arc::clone(&metrics.cache_evictions),
         );
-        let queue = CoalescingQueue::new(config.queue_bound);
+        let queue = BoundedQueue::new(config.queue_bound);
         // Fixed for the service's lifetime, so set once here; the gauges
         // that move are refreshed at scrape time by `render_metrics`.
         metrics.queue_bound.set(i64::try_from(queue.bound()).unwrap_or(i64::MAX));
@@ -340,7 +323,7 @@ impl ServiceHandle {
         Ok(ServiceHandle { inner, workers: Arc::new(Mutex::new(handles)) })
     }
 
-    /// Serves one sample: cache lookup, then coalesced computation.
+    /// Serves one sample: cache lookup, then a worker's forward pass.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] when the queue is full,
@@ -378,8 +361,6 @@ impl ServiceHandle {
             self.inner.finish(RequestRecord {
                 id,
                 outcome: Outcome::CacheHit,
-                batch_index: 0,
-                coalesced: 0,
                 queue_wait_us: 0,
                 service_us: 0,
                 latency_us: micros(latency),
@@ -389,7 +370,6 @@ impl ServiceHandle {
                 prediction,
                 cached: true,
                 coalesced: 0,
-                batch_index: 0,
                 queue_wait: Duration::ZERO,
                 latency,
             });
@@ -402,8 +382,6 @@ impl ServiceHandle {
                 self.inner.finish(RequestRecord {
                     id,
                     outcome: Outcome::Shed,
-                    batch_index: 0,
-                    coalesced: 0,
                     queue_wait_us: 0,
                     service_us: 0,
                     latency_us: micros(admitted.elapsed()),
@@ -547,88 +525,71 @@ fn worker_loop(inner: &ServiceInner) {
     let Ok(predictor) = GnnPredictor::from_saved(&inner.snapshot) else {
         return;
     };
-    // The coalescing width is the snapshot's training batch size; the first
-    // queued request always drains, so a width of 0 still serves one at a
-    // time.
-    let width = inner.snapshot.config.batch_size;
-    let budget = BatchConfig::default().node_budget(inner.snapshot.config.hidden_dim);
-    while let Some(batch) = inner.queue.drain_coalesced(|next, taken| {
-        let taken_nodes: usize = taken.iter().map(|job| job.sample.num_nodes()).sum();
-        taken.len() < width && taken_nodes + next.sample.num_nodes() <= budget
-    }) {
-        // Pick-up splits each request's latency in two: queue wait
-        // (admission to here) and service time (here to reply — including
-        // the artificial delay, which models processing, not waiting).
+    while let Some(job) = inner.queue.pop() {
+        // Pick-up splits the request's latency in two: queue wait (admission
+        // to here) and service time (here to reply — including the
+        // artificial delay, which models processing, not waiting).
         let pickup = Instant::now();
-        let coalesced = batch.len();
-        inner.metrics.coalesce_width.record(coalesced as u64);
-        let mut ids = String::new();
-        for (index, job) in batch.iter().enumerate() {
-            let waited = pickup.duration_since(job.enqueued);
-            inner.metrics.queue_wait_us.record(micros(waited));
-            if index > 0 {
-                ids.push(',');
-            }
-            ids.push_str(&job.id.to_string());
-        }
+        let queue_wait = pickup.duration_since(job.enqueued);
+        inner.metrics.queue_wait_us.record(micros(queue_wait));
         if !inner.worker_delay.is_zero() {
             std::thread::sleep(inner.worker_delay);
         }
-        let mut samples = Vec::with_capacity(coalesced);
-        let mut metas = Vec::with_capacity(coalesced);
-        for job in batch {
-            samples.push(job.sample);
-            metas.push((job.id, job.fingerprint, job.enqueued, job.reply));
-        }
-        let results = {
-            let _infer_span = hls_gnn_obs::span!("serve_infer", ids = ids, width = coalesced);
-            predictor.predict_batch(&samples)
+        let result = {
+            let _infer_span = hls_gnn_obs::span!("serve_infer", id = job.id);
+            predict_contained(&predictor, &job.sample)
         };
-        for (batch_index, ((id, fingerprint, enqueued, reply), result)) in
-            metas.into_iter().zip(results).enumerate()
-        {
-            let queue_wait = pickup.duration_since(enqueued);
-            let outcome = match result {
-                Ok(prediction) => {
-                    inner.cache.lock().expect("cache lock").insert(fingerprint, prediction);
-                    let latency = enqueued.elapsed();
-                    inner.metrics.record_latency(latency);
-                    inner.metrics.served.inc();
-                    inner.finish(RequestRecord {
-                        id,
-                        outcome: Outcome::Served,
-                        batch_index,
-                        coalesced,
-                        queue_wait_us: micros(queue_wait),
-                        service_us: micros(pickup.elapsed()),
-                        latency_us: micros(latency),
-                    });
-                    Ok(Served {
-                        request_id: id,
-                        prediction,
-                        cached: false,
-                        coalesced,
-                        batch_index,
-                        queue_wait,
-                        latency,
-                    })
-                }
-                Err(error) => {
-                    inner.metrics.errors.inc();
-                    inner.finish(RequestRecord {
-                        id,
-                        outcome: Outcome::Error,
-                        batch_index,
-                        coalesced,
-                        queue_wait_us: micros(queue_wait),
-                        service_us: micros(pickup.elapsed()),
-                        latency_us: micros(enqueued.elapsed()),
-                    });
-                    Err(ServeError::Model(error))
-                }
-            };
-            // The requester may have given up; dropping the result is fine.
-            let _ = reply.send(outcome);
-        }
+        let record = |outcome, latency: Duration| RequestRecord {
+            id: job.id,
+            outcome,
+            queue_wait_us: micros(queue_wait),
+            service_us: micros(pickup.elapsed()),
+            latency_us: micros(latency),
+        };
+        let outcome = match result {
+            Ok(prediction) => {
+                inner.cache.lock().expect("cache lock").insert(job.fingerprint, prediction);
+                let latency = job.enqueued.elapsed();
+                inner.metrics.record_latency(latency);
+                inner.metrics.served.inc();
+                inner.finish(record(Outcome::Served, latency));
+                Ok(Served {
+                    request_id: job.id,
+                    prediction,
+                    cached: false,
+                    coalesced: 1,
+                    queue_wait,
+                    latency,
+                })
+            }
+            Err(error) => {
+                inner.metrics.errors.inc();
+                inner.finish(record(Outcome::Error, job.enqueued.elapsed()));
+                Err(ServeError::Model(error))
+            }
+        };
+        // The requester may have given up; dropping the result is fine.
+        let _ = job.reply.send(outcome);
     }
+}
+
+/// Predicts one design, containing a panic inside the model to this
+/// request: the unwound forward pass leaves this thread's tape half
+/// recorded, so it is reset before the worker takes the next request, and
+/// the request fails with [`hls_gnn_core::Error::Internal`].
+fn predict_contained(
+    predictor: &GnnPredictor,
+    sample: &GraphSample,
+) -> hls_gnn_core::Result<[f64; TargetMetric::COUNT]> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| predictor.predict(sample))).unwrap_or_else(
+        |payload| {
+            gnn_tensor::tape::reset();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Err(hls_gnn_core::Error::Internal(format!("the model panicked: {message}")))
+        },
+    )
 }

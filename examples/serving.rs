@@ -19,8 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("trained {}", predictor.name());
 
     // 2. Start the service from a snapshot: two workers, each with its own
-    //    thread-confined copy of the model, behind a coalescing queue and a
-    //    prediction cache.
+    //    thread-confined copy of the model predicting one request per
+    //    forward, behind a bounded queue and a prediction cache.
     let config = ServeConfig { workers: 2, ..ServeConfig::default() };
     let service = ServiceHandle::start(predictor.snapshot()?, &config)?;
 

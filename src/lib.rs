@@ -15,9 +15,9 @@
 //! - [`hls_gnn_store`]: persistence — the checksummed `.hgns` container,
 //!   the only on-disk form of a trained predictor, the sharded streaming
 //!   dataset store, and the `hls-gnn-pack` CLI.
-//! - [`hls_gnn_serve`]: the serving subsystem — an HTTP frontend, request
-//!   coalescing onto fused tapes, sharded workers and a prediction cache
-//!   over trained snapshots.
+//! - [`hls_gnn_serve`]: the serving subsystem — an HTTP frontend, a bounded
+//!   request queue, sharded workers predicting one request per forward and
+//!   a prediction cache over trained snapshots.
 //! - [`hls_gnn_obs`]: the observability layer — a lock-free metrics
 //!   registry (counters, gauges, bucketed histograms with quantile
 //!   readout), RAII stage spans with an optional `HLSGNN_TRACE` JSONL

@@ -3,10 +3,11 @@
 //! * Every forward is a fused forward; a graph run alone is a batch of one.
 //!   Fused rows are bit-identical to each graph run alone for every
 //!   backbone × feature-mode combination, because member graphs keep their
-//!   node order and every whole-graph operation is segment-aware.
-//! * Trained predictors produce bit-identical results at every node budget
-//!   (one graph per chunk, the default, everything in one chunk) and on the
-//!   sharded parallel path.
+//!   node order and every whole-graph operation is segment-aware. Training
+//!   fuses mini-batches and inference runs one design per forward, so this
+//!   is what ties a fused training step to a one-design prediction.
+//! * Trained predictors produce bit-identical results through per-sample
+//!   `predict`, `predict_batch` and the sharded parallel path.
 //! * Degenerate inputs (empty batches, zero batch sizes, zero-node graphs)
 //!   fail loudly instead of silently corrupting results.
 
@@ -66,7 +67,7 @@ fn fused_forward_matches_per_graph_forward_for_every_backbone_and_mode() {
 }
 
 #[test]
-fn trained_predictions_agree_across_node_budgets_and_the_sharded_path() {
+fn trained_predictions_agree_across_predict_predict_batch_and_the_sharded_path() {
     let dataset = corpus(ProgramFamily::StraightLine, 14, 33);
     let split = dataset.split(0.7, 0.15, 1);
     let config = TrainConfig::fast();
@@ -75,34 +76,28 @@ fn trained_predictions_agree_across_node_budgets_and_the_sharded_path() {
         let mut predictor = GnnPredictor::new(spec, &config);
         predictor.fit(&split.train, &split.validation, &config).expect("training succeeds");
 
-        let one_per_chunk = BatchConfig::default().with_node_budget(1);
-        let reference = predictor.predict_batch_with(&split.test.samples, &one_per_chunk);
+        let reference: Vec<[f64; TargetMetric::COUNT]> = split
+            .test
+            .samples
+            .iter()
+            .map(|sample| predictor.predict(sample).expect("per-sample prediction succeeds"))
+            .collect();
+        let samples = &split.test.samples;
         let others = [
+            ("predict_batch", predictor.predict_batch(samples)),
             (
-                "default budget",
-                predictor.predict_batch_with(&split.test.samples, &BatchConfig::default()),
+                "sharded, 1 worker",
+                predict_batch_sharded(&predictor, samples, &ParallelConfig::with_workers(1)),
             ),
             (
-                "1e6-node budget",
-                predictor.predict_batch_with(
-                    &split.test.samples,
-                    &BatchConfig::default().with_node_budget(1_000_000),
-                ),
-            ),
-            (
-                "sharded",
-                predict_batch_sharded(
-                    &predictor,
-                    &split.test.samples,
-                    &ParallelConfig::with_workers(4),
-                ),
+                "sharded, 4 workers",
+                predict_batch_sharded(&predictor, samples, &ParallelConfig::with_workers(4)),
             ),
         ];
         assert_eq!(reference.len(), split.test.len());
         for (path, predictions) in &others {
             assert_eq!(predictions.len(), split.test.len(), "{}: {path}", spec.id());
             for (index, (want, got)) in reference.iter().zip(predictions).enumerate() {
-                let want = want.as_ref().expect("one-graph-per-chunk prediction succeeds");
                 let got = got.as_ref().expect("prediction succeeds");
                 for target in 0..TargetMetric::COUNT {
                     assert_eq!(

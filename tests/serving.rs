@@ -3,11 +3,10 @@
 //! The load-bearing guarantee: **served predictions are bit-identical to a
 //! direct `predict_batch` call** on the same model and graphs — for worker
 //! counts 1 and 4, with the prediction cache enabled and disabled, under
-//! concurrent submission (arbitrary coalescing patterns), and over the HTTP
-//! wire format. This holds because fused multi-graph inference is
-//! bit-identical to running each graph alone (asserted exactly for every
-//! backbone in tests/batching.rs), so *how* requests happen to batch can
-//! never change *what* is predicted.
+//! concurrent submission, and over the HTTP wire format. Both paths run one
+//! design per forward, so which worker answers a request, and when, can
+//! never change *what* is predicted. A panic inside the model fails only its
+//! own request; the worker keeps serving.
 
 use std::collections::HashMap;
 
@@ -44,7 +43,7 @@ fn served_predictions_are_bit_identical_to_direct_predict_batch() {
     let dataset = corpus(14, 33);
     let split = dataset.split(0.7, 0.15, 1);
     // Serve the whole corpus, not just the held-out split: 14 concurrent
-    // requests give the coalescer real contention at width > 1.
+    // requests give the queue and the workers real contention.
     let samples = dataset.samples.clone();
 
     for spec in ["base/gcn", "hier/gcn"] {
@@ -67,8 +66,8 @@ fn served_predictions_are_bit_identical_to_direct_predict_batch() {
                 let service =
                     ServiceHandle::start(snapshot.clone(), &config).expect("service starts");
 
-                // Concurrent submission from four frontend threads, so the
-                // coalescer sees real contention and arbitrary batch shapes.
+                // Concurrent submission, one frontend thread per sample, so
+                // the workers see real contention in arbitrary order.
                 let mut joins = Vec::new();
                 for (index, sample) in samples.iter().cloned().enumerate() {
                     let service = service.clone();
@@ -250,7 +249,6 @@ fn metrics_exposition_reports_exact_counts_for_sequential_traffic() {
         ("hlsgnn_serve_cache_evictions_total", 9.0),
         ("hlsgnn_serve_latency_us_count", 13.0),
         ("hlsgnn_serve_queue_wait_us_count", 13.0),
-        ("hlsgnn_serve_coalesce_width_sum", 13.0),
         ("hlsgnn_serve_queue_depth", 0.0),
         ("hlsgnn_serve_queue_bound", 32.0),
         ("hlsgnn_serve_cache_entries", 4.0),
@@ -292,7 +290,7 @@ fn a_full_queue_sheds_requests_with_overloaded() {
     let service =
         ServiceHandle::start(predictor.snapshot().expect("snapshot"), &config).expect("starts");
 
-    // Occupy the worker (it sleeps 400 ms per micro-batch), then race three
+    // Occupy the worker (it sleeps 400 ms per request), then race three
     // more submissions at the bound-1 queue: at most one can be admitted
     // while the worker is busy (a racer thread would have to be delayed by
     // hundreds of milliseconds for the queue to empty under it).
@@ -329,7 +327,64 @@ fn a_full_queue_sheds_requests_with_overloaded() {
     service.shutdown();
 }
 
-/// Request-scoped tracing: concurrent coalesced requests each get a unique
+/// A panic inside the model fails only its own request. A sample whose
+/// per-node feature list is cut to one entry panics in the feature encoder;
+/// its caller gets [`ServeError::Model`] (500 over HTTP), the error is
+/// counted, and the service's only worker answers the next valid request
+/// with the exact bits of `predict`. Each request reports over a channel
+/// with a timeout, so a worker lost to the panic fails the test instead of
+/// hanging it.
+#[test]
+fn a_panicking_prediction_fails_its_request_and_the_worker_keeps_serving() {
+    let dataset = corpus(6, 43);
+    let split = dataset.split(0.7, 0.15, 1);
+    let predictor = trained("base/gcn", &split);
+    let config =
+        ServeConfig { workers: 1, cache_capacity: 0, access_log: false, ..ServeConfig::default() };
+    let service =
+        ServiceHandle::start(predictor.snapshot().expect("snapshot"), &config).expect("starts");
+    let submit = |sample: GraphSample| {
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let service = service.clone();
+        let client = std::thread::spawn(move || sender.send(service.predict_sample(sample)));
+        let reply = receiver.recv_timeout(std::time::Duration::from_secs(10));
+        // A client still blocked after the timeout is left detached: joining
+        // it would turn the failure into the hang this test exists to catch.
+        if reply.is_ok() {
+            client.join().expect("client thread").expect("the receiver is alive");
+        }
+        reply
+    };
+
+    let valid = split.test.samples[0].clone();
+    let mut broken = valid.clone();
+    assert!(broken.num_nodes() > 1, "truncation must leave nodes without features");
+    broken.node_features.truncate(1);
+    let broken_reply = submit(broken).expect("the panicking request is answered");
+    let valid_reply = submit(valid.clone())
+        .expect("the worker must survive the panic and answer the next request");
+
+    match broken_reply {
+        Err(ServeError::Model(error)) => {
+            assert!(error.to_string().contains("panicked"), "unexpected model error: {error}");
+        }
+        other => panic!("a panicking prediction must fail with a model error, got {other:?}"),
+    }
+    let served = valid_reply.expect("the valid request is served");
+    assert_eq!(served.prediction, predictor.predict(&valid).expect("direct prediction"));
+    let metrics = service.render_metrics();
+    for (name, expected) in [
+        ("hlsgnn_serve_requests_total", 2.0),
+        ("hlsgnn_serve_served_total", 1.0),
+        ("hlsgnn_serve_errors_total", 1.0),
+        ("hlsgnn_serve_workers", 1.0),
+    ] {
+        assert_eq!(metric_value(&metrics, name), Some(expected), "`{name}`:\n{metrics}");
+    }
+    service.shutdown();
+}
+
+/// Request-scoped tracing: concurrent queued requests each get a unique
 /// monotonic id that round-trips from admission through the access-log
 /// record to the HTTP response and `GET /debug/slow`; each record decomposes
 /// end-to-end latency into queue wait (admission to worker pick-up) plus
@@ -354,7 +409,7 @@ fn request_ids_are_unique_and_latency_decomposes_into_wait_plus_service() {
         ServiceHandle::start(predictor.snapshot().expect("snapshot"), &config).expect("starts");
 
     // Occupy the worker, then race five more submissions while it sleeps:
-    // they pile up in the queue and the next drain must coalesce them.
+    // they pile up in the queue and wait their turn.
     let occupant = {
         let service = service.clone();
         let sample = dataset.samples[0].clone();
@@ -387,13 +442,8 @@ fn request_ids_are_unique_and_latency_decomposes_into_wait_plus_service() {
     let mut record_ids: Vec<u64> = records.iter().map(|r| r.id).collect();
     record_ids.sort_unstable();
     assert_eq!(record_ids, ids, "request records must carry the served ids");
-    assert!(
-        records.iter().any(|r| r.coalesced >= 2),
-        "requests racing a busy worker must coalesce"
-    );
     for record in &records {
         assert_eq!(record.outcome, Outcome::Served.name());
-        assert!(record.batch_index < record.coalesced, "batch position within the micro-batch");
         // The artificial delay is service time, so every record's service
         // side is at least the 150 ms sleep.
         assert!(
